@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   constexpr OracleOptions kExhaustive{.enabled = false};
 
   perf::Table table({"matrix", "exh_ms", "oracle_ms", "speedup", "timed",
-                     "exh_pick", "oracle_pick", "quality"});
+                     "exh_pick", "oracle_pick", "quality", "build_ms"});
   bench::JsonReport report("autotune_oracle");
 
   int within5 = 0, cases = 0;
@@ -82,6 +82,11 @@ int main(int argc, char** argv) {
                     "oracle pick " << pruned.best_blocks
                                    << " missing from exhaustive table");
 
+    // Mean plan-build time of one candidate, over the exhaustive sweep.
+    double build_seconds = 0.0;
+    for (const auto& s : exh.samples) build_seconds += s.build_seconds;
+    build_seconds /= static_cast<double>(exh.samples.size());
+
     const double speedup = exh_wall / oracle_wall;
     const double quality = pick_seconds / exh.best_seconds;
     speedups.push_back(speedup);
@@ -95,7 +100,8 @@ int main(int argc, char** argv) {
                        std::to_string(ladder.size()),
                    perf::Table::fmt(exh.best_seconds * 1e3),
                    perf::Table::fmt(pick_seconds * 1e3),
-                   perf::Table::fmt_ratio(quality)});
+                   perf::Table::fmt_ratio(quality),
+                   perf::Table::fmt(build_seconds * 1e3)});
 
     report.add({name, "autotune_exhaustive", k, threads, exh_wall, 0.0,
                 static_cast<std::size_t>(exh.candidates_timed)});

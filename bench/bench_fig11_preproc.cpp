@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 11 — ABMC preprocessing overhead", opts);
 
   perf::Table table({"matrix", "spmv_ms", "abmc_ms", "#spmv_equiv",
-                     "contig_ms", "colors(bfs)", "colors(contig)",
+                     "bfs_ms", "colors(contig)", "colors(bfs)",
                      "colors(LF)"});
   RunningStats equivalents;
 
@@ -33,19 +33,22 @@ int main(int argc, char** argv) {
             opts.reps, opts.warmup)
             .geomean();
 
-    AbmcOptions bfs;
-    bfs.num_blocks = opts.num_blocks;
-    Timer t_bfs;
-    const auto o_bfs = abmc_order(m.matrix, bfs);
-    const double abmc_s = t_bfs.seconds();
-
-    AbmcOptions contig = bfs;
-    contig.blocking = BlockingStrategy::kContiguous;
+    // The headline is the plan's default ordering (contiguous blocking,
+    // quotient read from the pattern); BFS blocking also builds and
+    // walks the row-level graph.
+    AbmcOptions contig;
+    contig.num_blocks = opts.num_blocks;
     Timer t_contig;
     const auto o_contig = abmc_order(m.matrix, contig);
-    const double contig_s = t_contig.seconds();
+    const double abmc_s = t_contig.seconds();
 
-    AbmcOptions lf = bfs;
+    AbmcOptions bfs = contig;
+    bfs.blocking = BlockingStrategy::kBfs;
+    Timer t_bfs;
+    const auto o_bfs = abmc_order(m.matrix, bfs);
+    const double bfs_s = t_bfs.seconds();
+
+    AbmcOptions lf = contig;
     lf.coloring = ColoringOrder::kLargestDegreeFirst;
     const auto o_lf = abmc_order(m.matrix, lf);
 
@@ -54,9 +57,9 @@ int main(int argc, char** argv) {
     table.add_row({m.name, perf::Table::fmt(spmv_s * 1e3),
                    perf::Table::fmt(abmc_s * 1e3),
                    perf::Table::fmt(equiv, 1),
-                   perf::Table::fmt(contig_s * 1e3),
-                   std::to_string(o_bfs.num_colors),
+                   perf::Table::fmt(bfs_s * 1e3),
                    std::to_string(o_contig.num_colors),
+                   std::to_string(o_bfs.num_colors),
                    std::to_string(o_lf.num_colors)});
   }
 

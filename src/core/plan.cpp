@@ -125,8 +125,7 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
     plan.stats_.num_blocks = plan.schedule_.num_blocks;
     plan.stats_.num_colors = plan.schedule_.num_colors;
     FBMPK_TSPAN(kPlan, "plan.split");
-    const CsrMatrix<double> permuted = permute_symmetric(a, plan.perm_);
-    plan.split_ = split_triangular(permuted);
+    plan.split_ = split_triangular_permuted(a, plan.perm_.order());
   } else {
     FBMPK_TSPAN(kPlan, "plan.split");
     plan.perm_ = Permutation::identity(a.rows());

@@ -120,10 +120,13 @@ void fbmpk_parallel_sweep_rows(const TriangularSplit<T>& s,
   const int pairs = k / 2;
   const index_t num_colors = o.num_colors;
 
+  detail::RegionSync sync;  // fork/join edges for ThreadSanitizer only
+  sync.fork();
 #ifdef _OPENMP
 #pragma omp parallel default(shared)
 #endif
   {
+    sync.enter();
     // Telemetry (compiled out when FBMPK_TELEMETRY is off): one span
     // per (k-step, color) stage, recorded by thread 0 — the implicit
     // barrier after each `omp for` makes its timestamps bracket the
@@ -239,7 +242,9 @@ void fbmpk_parallel_sweep_rows(const TriangularSplit<T>& s,
       }
       FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end("tail", k, -1);)
     }
+    sync.leave();
   }
+  sync.join();
 }
 
 /// Color-scheduled parallel sweep with the exact scalar row policy —

@@ -46,9 +46,18 @@ SweepSchedule build_sweep_schedule(const AbmcOrdering& o,
   s.part_blocks = part.part_blocks;
   s.load = part.load;
 
-  // 2. Point-to-point dependencies from the block quotient graph.
-  const AdjacencyGraph q = block_quotient_from_split(
-      lower_rp, lower_ci, upper_rp, upper_ci, o.block_ptr);
+  // 2. Point-to-point dependencies from the block quotient graph. L and
+  // U together hold every off-diagonal entry of the permuted matrix.
+  const auto num_blocks = static_cast<index_t>(o.block_ptr.size()) - 1;
+  FBMPK_CHECK(o.block_ptr.front() == 0);
+  std::vector<index_t> block_of(static_cast<std::size_t>(o.block_ptr.back()));
+  for (index_t b = 0; b < num_blocks; ++b) {
+    FBMPK_CHECK(o.block_ptr[b] <= o.block_ptr[b + 1]);
+    for (index_t r = o.block_ptr[b]; r < o.block_ptr[b + 1]; ++r)
+      block_of[r] = b;
+  }
+  const CsrPattern triangles[] = {{lower_rp, lower_ci}, {upper_rp, upper_ci}};
+  const AdjacencyGraph q = block_quotient(triangles, block_of, num_blocks);
   const std::vector<index_t> color_of = colors_of_blocks(o);
 
   s.fwd_dep_ptr.assign(static_cast<std::size_t>(T) * C + 1, 0);

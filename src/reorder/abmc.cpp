@@ -5,12 +5,18 @@
 
 namespace fbmpk {
 
-AbmcOrdering abmc_order(const AdjacencyGraph& g, const AbmcOptions& opts) {
-  FBMPK_CHECK(g.n > 0);
+AbmcOrdering abmc_order(const CsrPattern& pattern, const AbmcOptions& opts) {
+  const index_t n = pattern.rows();
+  FBMPK_CHECK(n > 0);
+  // Only BFS blocking walks the row graph; contiguous blocking ignores it.
+  const AdjacencyGraph g = opts.blocking == BlockingStrategy::kBfs
+                               ? adjacency_from_pattern(pattern)
+                               : AdjacencyGraph{};
   const Blocking blocking =
-      build_blocking(g, g.n, opts.num_blocks, opts.blocking);
+      build_blocking(g, n, opts.num_blocks, opts.blocking);
   const AdjacencyGraph q =
-      quotient_graph(g, blocking.block_of, blocking.num_blocks);
+      block_quotient(std::span<const CsrPattern>(&pattern, 1),
+                     blocking.block_of, blocking.num_blocks);
   const Coloring coloring = greedy_color(q, opts.coloring);
 
   // Stable-sort block ids by color; ties keep block order, which keeps
@@ -30,7 +36,7 @@ AbmcOrdering abmc_order(const AdjacencyGraph& g, const AbmcOptions& opts) {
   out.color_ptr.assign(static_cast<std::size_t>(out.num_colors) + 1, 0);
 
   std::vector<index_t> order;
-  order.reserve(static_cast<std::size_t>(g.n));
+  order.reserve(static_cast<std::size_t>(n));
   out.block_ptr.push_back(0);
   index_t prev_color = 0;
   for (index_t pos = 0; pos < out.num_blocks; ++pos) {

@@ -41,14 +41,16 @@ struct AbmcOrdering {
   }
 };
 
-/// Compute the ABMC ordering from a prebuilt adjacency graph.
-AbmcOrdering abmc_order(const AdjacencyGraph& g, const AbmcOptions& opts);
+/// Compute the ABMC ordering of a square pattern. The block quotient is
+/// read straight from the pattern; the row-level graph is built only for
+/// BFS blocking, which traverses it.
+AbmcOrdering abmc_order(const CsrPattern& pattern, const AbmcOptions& opts);
 
 /// Compute the ABMC ordering for a square matrix's pattern.
 template <class T>
 AbmcOrdering abmc_order(const CsrMatrix<T>& a, const AbmcOptions& opts) {
-  const AdjacencyGraph g = adjacency_from_matrix(a);
-  return abmc_order(g, opts);
+  FBMPK_CHECK(a.rows() == a.cols());
+  return abmc_order(pattern_of(a), opts);
 }
 
 /// Check the schedule invariant on the *permuted* matrix: no stored

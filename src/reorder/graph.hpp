@@ -3,7 +3,7 @@
 // RCM, blocking and coloring all operate on the symmetrized structure of
 // the matrix (an edge {i, j} exists when A(i,j) or A(j,i) is stored,
 // i != j). This header provides that graph plus the block quotient graph
-// used by ABMC.
+// used by ABMC and the sweep schedule.
 #pragma once
 
 #include <span>
@@ -35,63 +35,40 @@ struct AdjacencyGraph {
   }
 };
 
+/// Borrowed view of a square CSR sparsity pattern (values not needed).
+struct CsrPattern {
+  std::span<const index_t> row_ptr;  ///< size rows()+1
+  std::span<const index_t> col_idx;
+
+  index_t rows() const { return static_cast<index_t>(row_ptr.size()) - 1; }
+};
+
+template <class T>
+CsrPattern pattern_of(const CsrMatrix<T>& a) {
+  return {a.row_ptr(), a.col_idx()};
+}
+
+/// Build the symmetrized adjacency graph of a square pattern.
+AdjacencyGraph adjacency_from_pattern(const CsrPattern& a);
+
 /// Build the symmetrized adjacency graph of a square matrix's pattern.
 template <class T>
 AdjacencyGraph adjacency_from_matrix(const CsrMatrix<T>& a) {
   FBMPK_CHECK(a.rows() == a.cols());
-  const index_t n = a.rows();
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-
-  // Count each undirected edge's contribution to both endpoints. An edge
-  // stored in both directions would be counted twice, so dedupe with a
-  // per-row merge after bucketing.
-  std::vector<std::vector<index_t>> nbrs(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i)
-    for (index_t k = rp[i]; k < rp[i + 1]; ++k) {
-      const index_t j = ci[k];
-      if (j == i) continue;
-      nbrs[i].push_back(j);
-      nbrs[j].push_back(i);
-    }
-
-  AdjacencyGraph g;
-  g.n = n;
-  g.ptr.assign(static_cast<std::size_t>(n) + 1, 0);
-  std::size_t total = 0;
-  for (index_t v = 0; v < n; ++v) {
-    auto& list = nbrs[v];
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    total += list.size();
-  }
-  g.adj.reserve(total);
-  for (index_t v = 0; v < n; ++v) {
-    g.adj.insert(g.adj.end(), nbrs[v].begin(), nbrs[v].end());
-    g.ptr[v + 1] = static_cast<index_t>(g.adj.size());
-  }
-  return g;
+  return adjacency_from_pattern(pattern_of(a));
 }
 
-/// Quotient graph of `g` under a block assignment: vertices are blocks,
-/// blocks P and Q adjacent iff some edge of g crosses them (P != Q).
-/// `block_of[v]` must lie in [0, num_blocks).
-AdjacencyGraph quotient_graph(const AdjacencyGraph& g,
-                              const std::vector<index_t>& block_of,
+/// Block quotient graph of the symmetrized union of `patterns`, read
+/// straight from the CSR patterns without building the row-level graph:
+/// vertices are blocks, and blocks P != Q are adjacent iff some stored
+/// entry (i, j) of any pattern has {block_of[i], block_of[j]} = {P, Q}.
+/// Equal to quotienting adjacency_from_pattern(union of patterns); ABMC
+/// runs it on A, the sweep schedule on the L and U triangles. Scans rows
+/// block-parallel; the graph is the same at any thread count.
+/// `block_of[v]` must lie in [0, num_blocks) and every pattern must have
+/// block_of.size() rows.
+AdjacencyGraph block_quotient(std::span<const CsrPattern> patterns,
+                              std::span<const index_t> block_of,
                               index_t num_blocks);
-
-/// Block quotient graph rebuilt from two CSR *patterns* (the L and U
-/// triangles of a permuted matrix) and contiguous block row ranges
-/// (block b covers rows [block_ptr[b], block_ptr[b+1])). Equivalent to
-/// adjacency_from_matrix + quotient_graph but without materializing the
-/// row-level graph — this is what sweep-schedule planning runs on the
-/// already-split matrix. Both triangles together cover every
-/// off-diagonal entry, and since row i's L entry (i, j) mirrors row j's
-/// U entry (j, i), scanning both symmetrizes the pattern for free.
-AdjacencyGraph block_quotient_from_split(std::span<const index_t> lower_rp,
-                                         std::span<const index_t> lower_ci,
-                                         std::span<const index_t> upper_rp,
-                                         std::span<const index_t> upper_ci,
-                                         std::span<const index_t> block_ptr);
 
 }  // namespace fbmpk

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace fbmpk {
@@ -16,8 +18,32 @@ namespace fbmpk {
 /// Default alignment for all numeric buffers (one x86/ARM cache line).
 inline constexpr std::size_t kCacheLineBytes = 64;
 
+namespace detail {
+inline thread_local bool skip_zero_fill = false;
+}  // namespace detail
+
+/// While one is alive, AlignedVector<T>(n) and resize(n) *on the
+/// constructing thread* leave trivial elements uninitialized instead of
+/// zero-filling them. For a builder whose parallel fill writes every
+/// element: the serial zero-fill (and its page faults) is skipped and
+/// first touch happens in the fill. Keep the scope around the
+/// allocations only; outside one, nothing changes.
+class NoZeroFillScope {
+ public:
+  NoZeroFillScope() : prev_(detail::skip_zero_fill) {
+    detail::skip_zero_fill = true;
+  }
+  ~NoZeroFillScope() { detail::skip_zero_fill = prev_; }
+  NoZeroFillScope(const NoZeroFillScope&) = delete;
+  NoZeroFillScope& operator=(const NoZeroFillScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
 /// Minimal C++17 aligned allocator; std::vector<T, AlignedAllocator<T>>
-/// gives 64-byte aligned, value-initialized storage.
+/// gives 64-byte aligned, value-initialized storage (default-initialized
+/// for trivial T inside a NoZeroFillScope).
 template <class T, std::size_t Align = kCacheLineBytes>
 class AlignedAllocator {
  public:
@@ -46,6 +72,19 @@ class AlignedAllocator {
   }
 
   void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+
+  template <class U>
+  void construct(U* p) {
+    if (std::is_trivially_default_constructible_v<U> &&
+        detail::skip_zero_fill)
+      ::new (static_cast<void*>(p)) U;
+    else
+      ::new (static_cast<void*>(p)) U();
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
 
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
     return true;

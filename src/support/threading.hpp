@@ -33,7 +33,45 @@
 #include <sched.h>
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+#define FBMPK_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FBMPK_TSAN 1
+#endif
+#endif
+#ifdef FBMPK_TSAN
+extern "C" void __tsan_acquire(void* addr);
+extern "C" void __tsan_release(void* addr);
+#endif
+
 namespace fbmpk {
+
+namespace detail {
+
+/// libgomp is not TSan-instrumented, so ThreadSanitizer cannot see that
+/// a region's fork orders the caller's earlier writes before every
+/// member, nor that its join orders every member's writes before the
+/// caller's later code (say, freeing an array the team filled). The
+/// region helpers below mark both edges on a per-call sync object:
+/// fork() before the region, enter()/leave() in each member, join()
+/// after. No-ops unless built with -fsanitize=thread.
+struct RegionSync {
+  char token = 0;
+#ifdef FBMPK_TSAN
+  void fork() { __tsan_release(&token); }
+  void enter() { __tsan_acquire(&token); }
+  void leave() { __tsan_release(&token); }
+  void join() { __tsan_acquire(&token); }
+#else
+  void fork() {}
+  void enter() {}
+  void leave() {}
+  void join() {}
+#endif
+};
+
+}  // namespace detail
 
 /// Number of threads an upcoming parallel region will use.
 inline int max_threads() {
@@ -122,8 +160,15 @@ template <class F>
 inline void parallel_region(F&& f) {
 #ifdef _OPENMP
   if (!in_parallel()) {
+    detail::RegionSync sync;
+    sync.fork();
 #pragma omp parallel default(shared)
-    f(omp_get_thread_num(), omp_get_num_threads());
+    {
+      sync.enter();
+      f(omp_get_thread_num(), omp_get_num_threads());
+      sync.leave();
+    }
+    sync.join();
     return;
   }
 #endif
@@ -136,8 +181,15 @@ template <class F>
 inline void parallel_region_n(int threads, F&& f) {
 #ifdef _OPENMP
   if (!in_parallel() && threads > 0) {
+    detail::RegionSync sync;
+    sync.fork();
 #pragma omp parallel default(shared) num_threads(threads)
-    f(omp_get_thread_num(), omp_get_num_threads());
+    {
+      sync.enter();
+      f(omp_get_thread_num(), omp_get_num_threads());
+      sync.leave();
+    }
+    sync.join();
     return;
   }
 #endif
@@ -151,8 +203,16 @@ template <class Index, class F>
 inline void parallel_for(Index n, F&& f) {
 #ifdef _OPENMP
   if (!in_parallel()) {
-#pragma omp parallel for schedule(static)
-    for (Index i = 0; i < n; ++i) f(i);
+    detail::RegionSync sync;
+    sync.fork();
+#pragma omp parallel default(shared)
+    {
+      sync.enter();
+#pragma omp for schedule(static) nowait
+      for (Index i = 0; i < n; ++i) f(i);
+      sync.leave();
+    }
+    sync.join();
     return;
   }
 #endif

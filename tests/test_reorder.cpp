@@ -108,7 +108,9 @@ TEST(Graph, QuotientCollapsesBlocks) {
   const auto g = path_graph(6);
   // Blocks {0,1}, {2,3}, {4,5}: quotient is a path of 3 blocks.
   const std::vector<index_t> block_of{0, 0, 1, 1, 2, 2};
-  const auto q = quotient_graph(g, block_of, 3);
+  const CsrPattern pattern{g.ptr, g.adj};
+  const auto q =
+      block_quotient(std::span<const CsrPattern>(&pattern, 1), block_of, 3);
   q.validate();
   EXPECT_EQ(q.degree(0), 1);
   EXPECT_EQ(q.degree(1), 2);
