@@ -723,13 +723,10 @@ int cmd_serve(const Args& args) {
   std::printf("served %d requests (%d clients) in %.2f ms: %d ok, %d typed "
               "errors\n",
               clients * requests, clients, ms, ok.load(), typed.load());
-  std::printf("cache: %llu hits, %llu misses, %llu evictions "
-              "(%llu corrupt, %llu stale)\n",
+  std::printf("cache: %llu hits, %llu misses, %llu evictions\n",
               static_cast<unsigned long long>(st.cache.hits),
               static_cast<unsigned long long>(st.cache.misses),
-              static_cast<unsigned long long>(st.cache.evictions),
-              static_cast<unsigned long long>(st.cache.corrupt_evictions),
-              static_cast<unsigned long long>(st.cache.stale_rebuilds));
+              static_cast<unsigned long long>(st.cache.evictions));
   std::printf("ladder: %llu engine->barrier, %llu barrier->serial, "
               "%llu fp64 rebuilds, %llu quarantines\n",
               static_cast<unsigned long long>(st.degrade_engine_to_barrier),

@@ -19,7 +19,7 @@ namespace fbmpk {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Format v3 (see docs/ROBUSTNESS.md):
+// Format v7 (see docs/ROBUSTNESS.md):
 //
 //   [ magic "FBMPKPLN" | u32 version | u32 index_width |
 //     u64 payload_size | u32 payload_crc32 ]  -- fixed header
@@ -35,41 +35,21 @@ namespace {
 // a truncated or bit-flipped plan file can never reach undefined
 // behavior or silently load.
 //
-// v3 added the sweep-engine options to OPTS, the SWEP section (the
-// persistent-threads SweepSchedule), and the sweep_threads stats
-// field. v4 added the kernel-backend / index-compression / prefetch
-// options to OPTS, the packed_index_bytes stats field, and the PCKD
-// section (both triangles' compressed column sidecars). v5 added the
-// value_precision option to OPTS, the packed_value_bytes stats field,
-// the VALP section (reduced-precision value sidecars for L/U/diag),
-// and the TUNE section (the persisted autotune choice). v1-v3 files
-// are rejected with kVersionMismatch; v4 files still load (precision
-// defaults to fp64, tuned config to never-tuned). A loaded schedule is
-// structurally re-validated (validate_sweep_schedule) and rebuilt from
-// the split when its stored thread count does not match the runtime's;
-// a loaded packed sidecar is decode-compared against the split's
-// column stream, and a loaded value sidecar is re-encoded from the
+// A plan file is a cache of a build, not an archive: this build reads
+// exactly one version, and any other is kVersionMismatch (regenerate
+// with `fbmpk_cli plan`). Beyond the CRC, a loaded plan is re-checked
+// against its own split: the sweep and level-blocked schedules are
+// structurally re-validated, the packed column sidecar is
+// decode-compared, and the value sidecars are re-encoded from the
 // split's fp64 values and compared bitwise (any mismatch ->
-// kCorruptPlan). A loaded tuned config is revalidated against the
-// executing machine (tuned_config_stale) rather than trusted.
-// v6 added the autotune_oracle option to OPTS and the oracle
-// provenance fields (predicted bytes, candidates scored/timed, winner
-// rank) to TUNE; v4/v5 files still load with the oracle defaults
-// (option on, provenance absent).
-// v7 appended the level-blocked point-to-point schedule
-// (LevelSweepSchedule, reorder/level_blocking.hpp) to LVLS and the
-// scheduler-race provenance (scheduler, scheduler_measured,
-// scheduler_alt_seconds) to TUNE. v4-v6 files still load: a
-// level-scheduled point-to-point plan missing the blocked schedule has
-// it rebuilt from the (validated) split, exactly like a
-// thread-count-mismatched SWEP. A loaded blocked schedule is
-// structurally re-validated against the split
-// (validate_level_sweep_schedule); any violation -> kCorruptPlan.
+// kCorruptPlan). A schedule built for a different thread count than
+// the runtime's is rebuilt from the split, and a loaded tuned config
+// is revalidated against the executing machine (tuned_config_stale)
+// rather than trusted.
 // ---------------------------------------------------------------------------
 
 constexpr char kMagic[8] = {'F', 'B', 'M', 'P', 'K', 'P', 'L', 'N'};
 constexpr std::uint32_t kVersion = 7;
-constexpr std::uint32_t kMinVersion = 4;  // oldest still-loadable format
 
 // Section tags, in the order they are written.
 enum : std::uint32_t {
@@ -81,28 +61,12 @@ enum : std::uint32_t {
   kSecLevels = 0x4C564C53,    // 'LVLS'
   kSecSplit = 0x53504C54,     // 'SPLT'
   kSecPacked = 0x50434B44,    // 'PCKD'
-  kSecValues = 0x56414C50,    // 'VALP' (v5)
-  kSecTuned = 0x54554E45,     // 'TUNE' (v5)
-};
-
-/// The exact PlanStats layout v4 plans were written with (raw memcpy
-/// of the struct). v5 appended packed_value_bytes; reading a v4 STAT
-/// section must use the old shape or the frame length check fails.
-struct PlanStatsV4 {
-  double build_seconds = 0.0;
-  double reorder_seconds = 0.0;
-  index_t num_blocks = 0;
-  index_t num_colors = 0;
-  index_t num_levels_forward = 0;
-  index_t num_levels_backward = 0;
-  index_t sweep_threads = 0;
-  std::size_t storage_bytes = 0;
-  std::size_t packed_index_bytes = 0;
+  kSecValues = 0x56414C50,    // 'VALP'
+  kSecTuned = 0x54554E45,     // 'TUNE'
 };
 
 // Serialized payloads are bounded: a section or vector claiming more
-// than this is corrupt by definition (matches the read_vec bound the
-// v1 format used).
+// than this is corrupt by definition.
 constexpr std::uint64_t kMaxPlausibleBytes = 1ull << 40;
 
 // Runtime-configurable cap below the structural bound (default 64 GiB).
@@ -465,7 +429,7 @@ void save_plan(const MpkPlan& plan, std::ostream& out) {
   w.begin_section(kSecLevels);
   write_level_schedule(w, plan.levels_.forward);
   write_level_schedule(w, plan.levels_.backward);
-  // v7: the level-blocked point-to-point schedule rides in the same
+  // The level-blocked point-to-point schedule rides in the same
   // section (empty for ABMC or barrier-sync plans).
   const LevelSweepSchedule& ls = plan.level_sweep_schedule_;
   w.pod(ls.num_threads);
@@ -554,14 +518,11 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
   FBMPK_CHECK_CODE(in.good(), ErrorCode::kCorruptPlan,
                    "truncated plan header");
-  FBMPK_CHECK_CODE(version >= kMinVersion && version <= kVersion,
-                   ErrorCode::kVersionMismatch,
+  FBMPK_CHECK_CODE(version == kVersion, ErrorCode::kVersionMismatch,
                    "unsupported plan version "
-                       << version << " (this build reads versions "
-                       << kMinVersion << "-" << kVersion
-                       << "; older files predate the checksum, the sweep "
-                       << "schedule, or the packed-index section and must "
-                       << "be regenerated)");
+                       << version << " (this build reads version "
+                       << kVersion
+                       << " only); regenerate it with `fbmpk_cli plan`");
   in.read(reinterpret_cast<char*>(&index_width), sizeof(index_width));
   in.read(reinterpret_cast<char*>(&payload_size), sizeof(payload_size));
   in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
@@ -654,28 +615,13 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
       plan.opts_.prefetch_dist >= 0 && plan.opts_.prefetch_dist <= 1024,
       ErrorCode::kCorruptPlan,
       "prefetch distance out of range in plan: " << plan.opts_.prefetch_dist);
-  if (version >= 5)
-    plan.opts_.value_precision =
-        r.enumeration<ValuePrecision>(3, "value precision");
-  if (version >= 6) plan.opts_.autotune_oracle = r.boolean();
+  plan.opts_.value_precision =
+      r.enumeration<ValuePrecision>(3, "value precision");
+  plan.opts_.autotune_oracle = r.boolean();
   r.end_section(sec, "options");
 
   sec = r.begin_section(kSecStats, "stats");
-  if (version >= 5) {
-    plan.stats_ = r.pod<PlanStats>();
-  } else {
-    const auto s4 = r.pod<PlanStatsV4>();
-    plan.stats_.build_seconds = s4.build_seconds;
-    plan.stats_.reorder_seconds = s4.reorder_seconds;
-    plan.stats_.num_blocks = s4.num_blocks;
-    plan.stats_.num_colors = s4.num_colors;
-    plan.stats_.num_levels_forward = s4.num_levels_forward;
-    plan.stats_.num_levels_backward = s4.num_levels_backward;
-    plan.stats_.sweep_threads = s4.sweep_threads;
-    plan.stats_.storage_bytes = s4.storage_bytes;
-    plan.stats_.packed_index_bytes = s4.packed_index_bytes;
-    plan.stats_.packed_value_bytes = 0;
-  }
+  plan.stats_ = r.pod<PlanStats>();
   r.end_section(sec, "stats");
 
   sec = r.begin_section(kSecPerm, "permutation");
@@ -735,25 +681,23 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   sec = r.begin_section(kSecLevels, "levels");
   plan.levels_.forward = read_level_schedule(r);
   plan.levels_.backward = read_level_schedule(r);
-  if (version >= 7) {
-    LevelSweepSchedule& ls = plan.level_sweep_schedule_;
-    ls.num_threads = r.pod<index_t>();
-    FBMPK_CHECK_CODE(ls.num_threads >= 0, ErrorCode::kCorruptPlan,
-                     "negative level schedule thread count in plan");
-    ls.fwd = read_level_direction(r);
-    ls.bwd = read_level_direction(r);
-    ls.fwd_dep_ptr = r.vec<std::vector<index_t>>();
-    ls.fwd_deps = r.vec<std::vector<LevelDep>>();
-    ls.bwd_dep_ptr = r.vec<std::vector<index_t>>();
-    ls.bwd_deps = r.vec<std::vector<LevelDep>>();
-    ls.bwd_fdep_ptr = r.vec<std::vector<index_t>>();
-    ls.bwd_fdeps = r.vec<std::vector<LevelDep>>();
-    FBMPK_CHECK_CODE(
-        ls.empty() || (plan.opts_.parallel &&
-                       plan.opts_.scheduler == Scheduler::kLevels),
-        ErrorCode::kCorruptPlan,
-        "plan carries a level-blocked schedule but is not level-scheduled");
-  }
+  LevelSweepSchedule& ls = plan.level_sweep_schedule_;
+  ls.num_threads = r.pod<index_t>();
+  FBMPK_CHECK_CODE(ls.num_threads >= 0, ErrorCode::kCorruptPlan,
+                   "negative level schedule thread count in plan");
+  ls.fwd = read_level_direction(r);
+  ls.bwd = read_level_direction(r);
+  ls.fwd_dep_ptr = r.vec<std::vector<index_t>>();
+  ls.fwd_deps = r.vec<std::vector<LevelDep>>();
+  ls.bwd_dep_ptr = r.vec<std::vector<index_t>>();
+  ls.bwd_deps = r.vec<std::vector<LevelDep>>();
+  ls.bwd_fdep_ptr = r.vec<std::vector<index_t>>();
+  ls.bwd_fdeps = r.vec<std::vector<LevelDep>>();
+  FBMPK_CHECK_CODE(
+      ls.empty() ||
+          (plan.opts_.parallel && plan.opts_.scheduler == Scheduler::kLevels),
+      ErrorCode::kCorruptPlan,
+      "plan carries a level-blocked schedule but is not level-scheduled");
   r.end_section(sec, "levels");
 
   sec = r.begin_section(kSecSplit, "split");
@@ -767,56 +711,45 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   plan.packed_.upper = read_packed(r, "upper");
   r.end_section(sec, "packed index");
 
-  if (version >= 5) {
-    sec = r.begin_section(kSecValues, "packed values");
-    plan.values_.precision =
-        r.enumeration<ValuePrecision>(3, "sidecar precision");
-    plan.values_.lower = read_values(r, "lower");
-    plan.values_.upper = read_values(r, "upper");
-    plan.values_.diag = read_values(r, "diag");
-    r.end_section(sec, "packed values");
+  sec = r.begin_section(kSecValues, "packed values");
+  plan.values_.precision =
+      r.enumeration<ValuePrecision>(3, "sidecar precision");
+  plan.values_.lower = read_values(r, "lower");
+  plan.values_.upper = read_values(r, "upper");
+  plan.values_.diag = read_values(r, "diag");
+  r.end_section(sec, "packed values");
 
-    sec = r.begin_section(kSecTuned, "tuned config");
-    plan.tuned_.valid = r.boolean();
-    plan.tuned_.backend = r.enumeration<KernelBackend>(5, "tuned backend");
-    plan.tuned_.index_compress = r.boolean();
-    plan.tuned_.value_precision =
-        r.enumeration<ValuePrecision>(3, "tuned precision");
-    plan.tuned_.tuned_threads = r.pod<index_t>();
-    FBMPK_CHECK_CODE(plan.tuned_.tuned_threads >= 0, ErrorCode::kCorruptPlan,
-                     "negative tuned thread count in plan");
-    plan.tuned_.best_seconds = r.pod<double>();
-    FBMPK_CHECK_CODE(plan.tuned_.best_seconds >= 0.0, ErrorCode::kCorruptPlan,
-                     "negative tuned timing in plan");
-    if (version >= 6) {
-      plan.tuned_.oracle_used = r.boolean();
-      plan.tuned_.oracle_predicted_bytes = r.pod<double>();
-      FBMPK_CHECK_CODE(plan.tuned_.oracle_predicted_bytes >= 0.0,
-                       ErrorCode::kCorruptPlan,
-                       "negative oracle prediction in plan");
-      plan.tuned_.candidates_scored = r.pod<index_t>();
-      plan.tuned_.candidates_timed = r.pod<index_t>();
-      plan.tuned_.oracle_rank_of_winner = r.pod<index_t>();
-      FBMPK_CHECK_CODE(
-          plan.tuned_.candidates_scored >= 0 &&
-              plan.tuned_.candidates_timed >= 0 &&
-              plan.tuned_.candidates_timed <= plan.tuned_.candidates_scored &&
-              plan.tuned_.oracle_rank_of_winner >= 0 &&
-              plan.tuned_.oracle_rank_of_winner <=
-                  plan.tuned_.candidates_timed,
-          ErrorCode::kCorruptPlan,
-          "inconsistent oracle provenance counts in plan");
-    }
-    if (version >= 7) {
-      plan.tuned_.scheduler = r.enumeration<Scheduler>(2, "tuned scheduler");
-      plan.tuned_.scheduler_measured = r.boolean();
-      plan.tuned_.scheduler_alt_seconds = r.pod<double>();
-      FBMPK_CHECK_CODE(plan.tuned_.scheduler_alt_seconds >= 0.0,
-                       ErrorCode::kCorruptPlan,
-                       "negative scheduler timing in plan");
-    }
-    r.end_section(sec, "tuned config");
-  }
+  sec = r.begin_section(kSecTuned, "tuned config");
+  TunedConfig& t = plan.tuned_;
+  t.valid = r.boolean();
+  t.backend = r.enumeration<KernelBackend>(5, "tuned backend");
+  t.index_compress = r.boolean();
+  t.value_precision = r.enumeration<ValuePrecision>(3, "tuned precision");
+  t.tuned_threads = r.pod<index_t>();
+  FBMPK_CHECK_CODE(t.tuned_threads >= 0, ErrorCode::kCorruptPlan,
+                   "negative tuned thread count in plan");
+  t.best_seconds = r.pod<double>();
+  FBMPK_CHECK_CODE(t.best_seconds >= 0.0, ErrorCode::kCorruptPlan,
+                   "negative tuned timing in plan");
+  t.oracle_used = r.boolean();
+  t.oracle_predicted_bytes = r.pod<double>();
+  FBMPK_CHECK_CODE(t.oracle_predicted_bytes >= 0.0, ErrorCode::kCorruptPlan,
+                   "negative oracle prediction in plan");
+  t.candidates_scored = r.pod<index_t>();
+  t.candidates_timed = r.pod<index_t>();
+  t.oracle_rank_of_winner = r.pod<index_t>();
+  FBMPK_CHECK_CODE(t.candidates_scored >= 0 && t.candidates_timed >= 0 &&
+                       t.candidates_timed <= t.candidates_scored &&
+                       t.oracle_rank_of_winner >= 0 &&
+                       t.oracle_rank_of_winner <= t.candidates_timed,
+                   ErrorCode::kCorruptPlan,
+                   "inconsistent oracle provenance counts in plan");
+  t.scheduler = r.enumeration<Scheduler>(2, "tuned scheduler");
+  t.scheduler_measured = r.boolean();
+  t.scheduler_alt_seconds = r.pod<double>();
+  FBMPK_CHECK_CODE(t.scheduler_alt_seconds >= 0.0, ErrorCode::kCorruptPlan,
+                   "negative scheduler timing in plan");
+  r.end_section(sec, "tuned config");
   r.expect_exhausted();
 
   if (plan.opts_.index_compress) {
@@ -888,8 +821,7 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
     const index_t want = plan.opts_.sweep.threads > 0
                              ? plan.opts_.sweep.threads
                              : static_cast<index_t>(max_threads());
-    if (plan.sweep_schedule_.empty() ||
-        plan.sweep_schedule_.num_threads != want) {
+    if (plan.sweep_schedule_.num_threads != want) {
       plan.sweep_schedule_ =
           build_sweep_schedule(plan.schedule_, plan.split_, want);
       plan.stats_.sweep_threads = want;
@@ -897,8 +829,8 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   }
 
   // Same discipline for the level-blocked schedule: structurally
-  // re-validate a loaded one against the split, and rebuild when it is
-  // absent (v4-v6 files) or built for a different thread count.
+  // re-validate a loaded one against the split, and rebuild it when it
+  // was built for a different thread count.
   if (plan.opts_.parallel && plan.opts_.scheduler == Scheduler::kLevels) {
     FBMPK_CHECK_CODE(
         plan.levels_.forward.rows.size() ==
@@ -916,8 +848,7 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
       const index_t want = plan.opts_.sweep.threads > 0
                                ? plan.opts_.sweep.threads
                                : static_cast<index_t>(max_threads());
-      if (plan.level_sweep_schedule_.empty() ||
-          plan.level_sweep_schedule_.num_threads != want) {
+      if (plan.level_sweep_schedule_.num_threads != want) {
         plan.level_sweep_schedule_ =
             build_level_sweep_schedule(plan.levels_, plan.split_, want);
         plan.stats_.sweep_threads = want;

@@ -2,10 +2,12 @@
 // paper's methodology assumes (§IV-C: the split/reorder "can often be
 // performed offline when storing the matrix data", §V-F: one-off cost).
 //
-// Format v2 (docs/ROBUSTNESS.md): little-endian native dump with a
+// Format v7 (docs/ROBUSTNESS.md): little-endian native dump with a
 // magic/version header, a CRC32 over the whole payload, and per-section
 // length framing. Intended for same-architecture reload of a stored
-// plan, not as an interchange format. save/load round-trips every
+// plan, not as an interchange format or an archive: a build reads
+// exactly the version it writes, and a file of any other version must
+// be regenerated (`fbmpk_cli plan`). save/load round-trips every
 // run-relevant field (split triangles, diagonal, permutation, ABMC
 // schedule, level schedules, options).
 //
@@ -14,8 +16,7 @@
 // enum and bool, and verifies the checksum before parsing, so a
 // truncated or bit-flipped file always fails with a typed Error
 // (ErrorCode::kCorruptPlan / kVersionMismatch) and never reaches
-// undefined behavior. Pre-checksum (v1) streams are rejected with
-// kVersionMismatch.
+// undefined behavior.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +27,14 @@
 
 namespace fbmpk {
 
-/// Serialize a built plan (format v2, checksummed).
+/// Serialize a built plan (format v7, checksummed).
 void save_plan(const MpkPlan& plan, std::ostream& out);
 void save_plan_file(const MpkPlan& plan, const std::string& path);
 
 /// Reconstruct a plan. Throws fbmpk::Error with kCorruptPlan on bad
-/// magic, checksum or framing violations, kVersionMismatch on a v1 or
-/// foreign-index-width file, kIo when the file cannot be opened.
+/// magic, checksum or framing violations, kVersionMismatch on any
+/// version other than v7 or a foreign index width, kIo when the file
+/// cannot be opened.
 MpkPlan load_plan(std::istream& in);
 MpkPlan load_plan_file(const std::string& path);
 

@@ -1,12 +1,8 @@
 #include "service/plan_cache.hpp"
 
-#include <sstream>
 #include <utility>
 
-#include "core/plan_io.hpp"
 #include "support/checksum.hpp"
-#include "support/error.hpp"
-#include "support/threading.hpp"
 #include "support/timer.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -30,11 +26,12 @@ PlanCache::PlanCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::shared_ptr<PlanCache::Entry> PlanCache::insert_locked(
-    std::uint64_t key, std::shared_ptr<Entry> entry) {
+    std::shared_ptr<Entry> entry) {
+  const std::uint64_t key = entry->key;
   auto it = map_.find(key);
   if (it != map_.end()) {
-    // Lost a build race (or replacing a corrupt/quarantined entry that
-    // was erased and re-inserted by another thread): adopt the winner.
+    // Lost a build race (or replacing a quarantined entry that another
+    // thread already rebuilt and re-inserted): adopt the winner.
     lru_.splice(lru_.end(), lru_, it->second.pos);
     return it->second.entry;
   }
@@ -50,93 +47,41 @@ std::shared_ptr<PlanCache::Entry> PlanCache::insert_locked(
   return entry;
 }
 
-PlanCache::Lease PlanCache::acquire(std::uint64_t key, const Builder& build) {
+std::shared_ptr<PlanCache::Entry> PlanCache::acquire(std::uint64_t key,
+                                                     const Builder& build) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end()) {
-      std::shared_ptr<Entry> entry = it->second.entry;
-      if (entry->quarantined.load(std::memory_order_acquire)) {
-        // Watchdog-flagged plan: never served again — drop and rebuild.
-        lru_.erase(it->second.pos);
-        map_.erase(it);
-      } else {
-        // Memory-corruption fault drill: damage the artifact and drop
-        // the decode cache so the rehydration path below must run.
-        if (fault::should_fire(fault::Point::kCacheCorrupt) &&
-            !entry->artifact.empty()) {
-          entry->artifact[entry->artifact.size() / 2] ^= 0x40;
-          entry->plan.reset();
-        }
-        if (entry->plan == nullptr) {
-          // Rehydrate from the artifact; the loader re-verifies the
-          // checksum so corruption can't reach execution.
-          std::istringstream in(entry->artifact);
-          Expected<MpkPlan> loaded = try_load_plan(in);
-          if (loaded.has_value() && !loaded.value().tuned_config().stale) {
-            entry->plan = std::make_shared<const MpkPlan>(
-                std::move(loaded).value());
-          } else {
-            if (loaded.has_value()) {
-              stale_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-              FBMPK_TCOUNT("service.cache.stale_rebuild", 1);
-            } else {
-              corrupt_evictions_.fetch_add(1, std::memory_order_relaxed);
-              FBMPK_TCOUNT("service.cache.corrupt_evict", 1);
-            }
-            lru_.erase(it->second.pos);
-            map_.erase(key);
-            entry = nullptr;
-          }
-        }
-        if (entry != nullptr) {
-          lru_.splice(lru_.end(), lru_, it->second.pos);
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          FBMPK_TCOUNT("service.cache.hit", 1);
-          // Pin the plan while still holding the lock: entry->plan may
-          // be reset by another thread the moment we release it.
-          return Lease{entry, entry->plan};
-        }
+      if (!it->second.entry->quarantined.load(std::memory_order_acquire)) {
+        lru_.splice(lru_.end(), lru_, it->second.pos);
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        FBMPK_TCOUNT("service.cache.hit", 1);
+        return it->second.entry;
       }
+      // Watchdog-flagged plan: never served again — drop and rebuild.
+      lru_.erase(it->second.pos);
+      map_.erase(it);
     }
   }
-  // Miss (or evicted above): build outside the lock so concurrent
+  // Miss (or quarantined above): build outside the lock so concurrent
   // requests for other fingerprints keep flowing.
   misses_.fetch_add(1, std::memory_order_relaxed);
   FBMPK_TCOUNT("service.cache.miss", 1);
-  auto entry = std::make_shared<Entry>();
-  entry->key = key;
+  std::shared_ptr<const MpkPlan> plan;
   {
     FBMPK_TSPAN(kService, "service.cache.build");
     [[maybe_unused]] Timer build_timer;
-    entry->plan = std::make_shared<const MpkPlan>(build());
+    plan = std::make_shared<const MpkPlan>(build());
     // Last-build gauge: the request-path cost the autotune oracle is
     // meant to shrink (docs/AUTOTUNING.md); spans carry the history,
     // the gauge makes the latest cost scrapeable.
     FBMPK_TGAUGE("service.plan_build_ns",
                  static_cast<std::int64_t>(build_timer.seconds() * 1e9));
   }
-  std::ostringstream out;
-  save_plan(*entry->plan, out);
-  entry->artifact = std::move(out).str();
-  std::shared_ptr<const MpkPlan> plan = entry->plan;
+  auto entry = std::make_shared<Entry>(key, std::move(plan));
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<Entry> adopted = insert_locked(key, std::move(entry));
-  // When we lost the build race the adopted entry's plan is the
-  // winner's; if a corruption drill already dropped that one, our own
-  // fresh build is still a correct plan for this key — serve it.
-  if (adopted->plan != nullptr) plan = adopted->plan;
-  return Lease{std::move(adopted), std::move(plan)};
-}
-
-bool PlanCache::corrupt_entry(std::uint64_t key, std::size_t offset) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  if (it == map_.end() || it->second.entry->artifact.empty()) return false;
-  Entry& e = *it->second.entry;
-  e.artifact[offset % e.artifact.size()] ^= 0x01;
-  e.plan.reset();
-  return true;
+  return insert_locked(std::move(entry));
 }
 
 bool PlanCache::quarantine(std::uint64_t key) {
@@ -162,8 +107,6 @@ CacheStats PlanCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.corrupt_evictions = corrupt_evictions_.load(std::memory_order_relaxed);
-  s.stale_rebuilds = stale_rebuilds_.load(std::memory_order_relaxed);
   return s;
 }
 

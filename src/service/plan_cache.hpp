@@ -1,22 +1,18 @@
 // LRU plan cache for the serving layer (docs/SERVICE.md).
 //
 // Entries are keyed by a 64-bit fingerprint of the input matrix
-// (dims + row_ptr + col_idx + values, two independent CRC32 streams).
-// Each entry stores BOTH the hydrated MpkPlan and its serialized v5
-// artifact (core/plan_io.hpp): the artifact is the durable source of
-// truth, the hydrated plan a decode cache. When the hydrated pointer
-// has been dropped — or a fault-injection hook corrupted the artifact
-// — the hit path rehydrates through try_load_plan, which re-verifies
-// the checksum and the tuned-config staleness predicate. A corrupt or
-// stale artifact is therefore *never served*: the entry is evicted and
-// rebuilt from the caller's matrix, and the event is counted
-// (service.cache.corrupt_evict / service.cache.stale_rebuild).
+// (dims + row_ptr + col_idx + values, two independent CRC32 streams)
+// and hold the built MpkPlan itself; a miss is a build and nothing
+// else. Plans that should outlive the process go to disk through
+// core/plan_io.hpp (fbmpk_cli plan), not through this cache.
 //
 // Thread-safety: every public method is safe to call concurrently.
 // Builds run outside the cache lock, so two threads missing on the
 // same fingerprint may both build; the first insert wins and the loser
-// adopts it. Entry flag fields (degrade_level, quarantined) are
-// atomics the serving ladder mutates without touching the cache lock.
+// adopts it. An entry's plan is fixed at construction, so a caller may
+// read it without the lock for as long as it holds the entry. Entry
+// flag fields (degrade_level, quarantined) are atomics the serving
+// ladder mutates without touching the cache lock.
 #pragma once
 
 #include <atomic>
@@ -25,8 +21,8 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -42,51 +38,35 @@ std::uint64_t fingerprint(const CsrMatrix<double>& a);
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;          ///< capacity evictions only
-  std::uint64_t corrupt_evictions = 0;  ///< artifact failed rehydration
-  std::uint64_t stale_rebuilds = 0;     ///< tuned config failed revalidation
+  std::uint64_t evictions = 0;  ///< capacity evictions only
 };
 
 class PlanCache {
  public:
-  /// One cached plan. `degrade_level` is the sticky degradation-ladder
-  /// rung for this plan (0 = full speed); `quarantined` marks a plan
-  /// the watchdog caught wedging a sweep — acquire() treats it as
-  /// evicted and rebuilds.
+  /// One cached plan. `plan` is set at construction and never reset.
+  /// `degrade_level` is the sticky degradation-ladder rung for this
+  /// plan (0 = full speed); `quarantined` marks a plan the watchdog
+  /// caught wedging a sweep — acquire() treats it as evicted and
+  /// rebuilds.
   struct Entry {
-    std::uint64_t key = 0;
-    std::string artifact;  ///< serialized v5 plan (source of truth)
-    std::shared_ptr<const MpkPlan> plan;
+    Entry(std::uint64_t k, std::shared_ptr<const MpkPlan> p)
+        : key(k), plan(std::move(p)) {}
+
+    const std::uint64_t key;
+    const std::shared_ptr<const MpkPlan> plan;
     std::atomic<int> degrade_level{0};
     std::atomic<bool> quarantined{false};
-  };
-
-  /// An entry plus a plan pointer pinned under the cache lock. Callers
-  /// must execute through `plan`, never through `entry->plan`: the
-  /// entry's own pointer may be dropped at any time by a concurrent
-  /// corruption drill or rehydration, and reading it outside the lock
-  /// is a use-after-free waiting to happen.
-  struct Lease {
-    std::shared_ptr<Entry> entry;
-    std::shared_ptr<const MpkPlan> plan;
   };
 
   using Builder = std::function<MpkPlan()>;
 
   explicit PlanCache(std::size_t capacity);
 
-  /// Look up `key`; on miss (or quarantined / unrehydratable entry)
-  /// invoke `build`, serialize the result and insert it, evicting the
-  /// least-recently-used entry when over capacity. Always returns a
-  /// lease with a non-null hydrated plan; build failures propagate as
-  /// the Error `build` (or serialization) throws.
-  Lease acquire(std::uint64_t key, const Builder& build);
-
-  /// Test/fault hook: XOR one artifact byte of `key`'s entry (offset
-  /// taken modulo the artifact size) and drop its hydrated plan, so
-  /// the next acquire must rehydrate — and fail, evict, rebuild.
-  /// Returns false when the key is absent.
-  bool corrupt_entry(std::uint64_t key, std::size_t offset = 97);
+  /// Look up `key`; on miss (or quarantined entry) invoke `build` and
+  /// insert the result, evicting the least-recently-used entry when
+  /// over capacity. Always returns an entry with a non-null plan;
+  /// build failures propagate as the Error `build` throws.
+  std::shared_ptr<Entry> acquire(std::uint64_t key, const Builder& build);
 
   /// Mark `key` quarantined (watchdog: plan wedged a sweep). The next
   /// acquire evicts and rebuilds it. Returns false when absent.
@@ -101,8 +81,7 @@ class PlanCache {
   CacheStats stats() const;
 
  private:
-  std::shared_ptr<Entry> insert_locked(std::uint64_t key,
-                                       std::shared_ptr<Entry> entry);
+  std::shared_ptr<Entry> insert_locked(std::shared_ptr<Entry> entry);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
@@ -116,8 +95,6 @@ class PlanCache {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> corrupt_evictions_{0};
-  std::atomic<std::uint64_t> stale_rebuilds_{0};
 };
 
 }  // namespace fbmpk::service

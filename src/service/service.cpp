@@ -26,7 +26,7 @@ void maybe_flight_dump(const char* reason) {
 }
 
 /// Cache key salt for the fp64 rebuild of a reduced-precision plan —
-/// the rebuilt plan is a distinct artifact under the same matrix.
+/// the rebuilt plan is a distinct cache entry for the same matrix.
 constexpr std::uint64_t kFp64RebuildSalt = 0x9E3779B97F4A7C15ull;
 
 Clock::duration seconds_to_duration(double s) {
@@ -318,9 +318,9 @@ void MpkService::execute(const std::shared_ptr<Request>& req) {
   }
 
   bool built = false;
-  PlanCache::Lease lease;
+  std::shared_ptr<PlanCache::Entry> entry;
   try {
-    lease = cache_.acquire(req->key, [&] {
+    entry = cache_.acquire(req->key, [&] {
       built = true;
       return MpkPlan::build(*req->matrix, opts_.plan);
     });
@@ -338,15 +338,14 @@ void MpkService::execute(const std::shared_ptr<Request>& req) {
 
   req->running.store(true, std::memory_order_release);
   MpkPlan::Workspace ws;
-  int rung_i = std::clamp(
-      lease.entry->degrade_level.load(std::memory_order_acquire),
+  int rung_i = std::clamp(entry->degrade_level.load(std::memory_order_acquire),
                           0, static_cast<int>(Rung::kSerial));
   int steps = 0;
   bool precision_rebuilt = false;
   Status st;
   for (;;) {
     const Rung rung = static_cast<Rung>(rung_i);
-    st = run_rung(req, *lease.plan, rung, ws);
+    st = run_rung(req, *entry->plan, rung, ws);
     if (st.ok()) break;
     const ErrorCode code = st.code();
     // Cancellation is final — degrading a cancelled request would
@@ -373,7 +372,7 @@ void MpkService::execute(const std::shared_ptr<Request>& req) {
     maybe_flight_dump("degrade");
     ++steps;
     ++rung_i;
-    lease.entry->degrade_level.store(rung_i, std::memory_order_release);
+    entry->degrade_level.store(rung_i, std::memory_order_release);
   }
 
   const Rung rung_used = static_cast<Rung>(rung_i);
@@ -411,7 +410,7 @@ void MpkService::certify_result(const std::shared_ptr<Request>& req,
     auto rebuilt = cache_.acquire(req->key ^ kFp64RebuildSalt, [&] {
       return MpkPlan::build(*req->matrix, fp64_opts);
     });
-    st = run_rung(req, *rebuilt.plan, rung, ws);
+    st = run_rung(req, *rebuilt->plan, rung, ws);
     if (st.ok() && !all_finite(req->y))
       st = Error(ErrorCode::kNumericalBreakdown,
                  "result failed precision certification after the "
@@ -461,9 +460,9 @@ void MpkService::execute_batch(
   batch_coalesced_.fetch_add(live.size(), std::memory_order_relaxed);
 
   bool built = false;
-  PlanCache::Lease lease;
+  std::shared_ptr<PlanCache::Entry> entry;
   try {
-    lease = cache_.acquire(seed->key, [&] {
+    entry = cache_.acquire(seed->key, [&] {
       built = true;
       return MpkPlan::build(*seed->matrix, opts_.plan);
     });
@@ -519,15 +518,15 @@ void MpkService::execute_batch(
       case Rung::kSerial: path = ExecPath::kSerial; break;
     }
     FBMPK_TSPAN_ARGS(kService, "service.batch_rung", {.k = seed->k});
-    return lease.plan->try_power_batch(xs.data(),
-                                       static_cast<index_t>(xs.size()),
-                                       seed->k, ys.data(), path, &exec->ctl);
+    return entry->plan->try_power_batch(xs.data(),
+                                        static_cast<index_t>(xs.size()),
+                                        seed->k, ys.data(), path, &exec->ctl);
   };
 
   // Same degradation ladder as the single-vector path, shared sticky
   // rung on the cached plan.
   int rung_i = std::clamp(
-      lease.entry->degrade_level.load(std::memory_order_acquire), 0,
+      entry->degrade_level.load(std::memory_order_acquire), 0,
       static_cast<int>(Rung::kSerial));
   int steps = 0;
   Status st;
@@ -554,7 +553,7 @@ void MpkService::execute_batch(
     maybe_flight_dump("degrade");
     ++steps;
     ++rung_i;
-    lease.entry->degrade_level.store(rung_i, std::memory_order_release);
+    entry->degrade_level.store(rung_i, std::memory_order_release);
   }
 
   {

@@ -166,7 +166,6 @@ namespace fault {
 enum class Point : int {
   kAlloc = 0,         ///< service-side workspace/plan allocation fails
   kSweepStall,        ///< sleep at a sweep stage boundary (stuck sweep)
-  kCacheCorrupt,      ///< flip a byte of the next touched cache artifact
   kQueueFull,         ///< admission control reports the queue full
   kPrecisionCertify,  ///< force a precision-certification failure
   kAutotuneBuild,     ///< fail a candidate plan build inside autotune

@@ -192,6 +192,27 @@ TEST(FaultInjection, V1StreamRejectedWithVersionError) {
   }
 }
 
+TEST(FaultInjection, EveryVersionWordBitFlipIsVersionMismatch) {
+  // The loader reads exactly one format version, so any flipped bit in
+  // the header's version word (bytes 8..11) must fail as
+  // kVersionMismatch — not as a checksum or framing error further in.
+  const std::string blob = valid_plan_blob();
+  for (std::size_t pos = 8; pos < 12; ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      const std::string mutated =
+          flip_byte(blob, pos, static_cast<std::uint8_t>(1u << bit));
+      std::istringstream in(mutated);
+      try {
+        load_plan(in);
+        FAIL() << "bit " << bit << " at byte " << pos << " accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kVersionMismatch)
+            << "bit " << bit << " at byte " << pos << ": " << e.what();
+      }
+    }
+  }
+}
+
 TEST(FaultInjection, ForeignIndexWidthRejected) {
   std::string blob = valid_plan_blob();
   const std::uint32_t width64 = 8;

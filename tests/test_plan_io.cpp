@@ -109,19 +109,34 @@ TEST(PlanIo, RejectsGarbageAndTruncation) {
 }
 
 TEST(PlanIo, RejectsOldFormatVersionWithTypedError) {
-  // A v1 header (raw-POD era) must fail with kVersionMismatch, not be
-  // misparsed as framed sections.
-  std::string v1("FBMPKPLN", 8);
-  const std::uint32_t version = 1, width = 4;
-  v1.append(reinterpret_cast<const char*>(&version), 4);
-  v1.append(reinterpret_cast<const char*>(&width), 4);
-  v1.append(128, '\0');
-  std::stringstream buf(v1);
-  try {
-    load_plan(buf);
-    FAIL() << "v1 stream accepted";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kVersionMismatch);
+  // Plan files are version-strict: any header version other than the
+  // one this build writes fails with kVersionMismatch before a single
+  // payload byte is read. Each header below is otherwise well formed
+  // (correct index width) and claims a payload the stream does not
+  // hold, so reading past the header would surface as kCorruptPlan.
+  for (const std::uint32_t version :
+       {0u, 1u, 4u, 5u, 6u, 8u, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(version);
+    std::string header("FBMPKPLN", 8);
+    const std::uint32_t width = sizeof(index_t), crc = 0;
+    const std::uint64_t payload_size = 128;
+    header.append(reinterpret_cast<const char*>(&version), 4);
+    header.append(reinterpret_cast<const char*>(&width), 4);
+    header.append(reinterpret_cast<const char*>(&payload_size), 8);
+    header.append(reinterpret_cast<const char*>(&crc), 4);
+    std::stringstream buf(header);
+    try {
+      load_plan(buf);
+      FAIL() << "version " << version << " stream accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kVersionMismatch) << e.what();
+      EXPECT_NE(std::string(e.what()).find("fbmpk_cli plan"),
+                std::string::npos)
+          << e.what();
+    }
+    const std::streamoff pos = buf.tellg();
+    EXPECT_GE(pos, 0);
+    EXPECT_LE(pos, static_cast<std::streamoff>(header.size()));
   }
 }
 
@@ -664,75 +679,6 @@ TEST(PlanIo, SchedulerProvenanceRoundTrips) {
   EXPECT_EQ(loaded.tuned_config().scheduler, Scheduler::kLevels);
   EXPECT_TRUE(loaded.tuned_config().scheduler_measured);
   EXPECT_EQ(loaded.tuned_config().scheduler_alt_seconds, 2e-3);
-}
-
-// ---------------------------------------------------------------------------
-// Backward compatibility: committed v4 fixtures (written by the PR 3
-// build, before VALP/TUNE existed) must still load, defaulting to fp64
-// values and a never-tuned config, and reproduce today's numerics.
-// ---------------------------------------------------------------------------
-
-TEST(PlanIo, V4GoldenPlansStillLoad) {
-  struct Fixture {
-    const char* file;
-    bool compressed;
-  };
-  for (const Fixture f : {Fixture{"plan_v4.bin", false},
-                          Fixture{"plan_v4_packed.bin", true}}) {
-    SCOPED_TRACE(f.file);
-    auto loaded = load_plan_file(std::string(FBMPK_TEST_GOLDEN_DIR) + "/" +
-                                 f.file);
-    EXPECT_EQ(loaded.rows(), 64);  // laplacian_2d(8, 8)
-    EXPECT_EQ(loaded.options().value_precision, ValuePrecision::kFp64);
-    EXPECT_EQ(loaded.options().index_compress, f.compressed);
-    EXPECT_EQ(loaded.stats().packed_value_bytes, 0u);
-    EXPECT_FALSE(loaded.tuned_config().valid);
-    EXPECT_TRUE(loaded.options().autotune_oracle);  // v6 default
-    EXPECT_FALSE(loaded.tuned_config().oracle_used);
-
-    // The v4 plan must compute exactly what a fresh build computes.
-    const auto a = gen::make_laplacian_2d(8, 8);
-    PlanOptions opts;
-    opts.index_compress = f.compressed;
-    auto fresh = MpkPlan::build(a, opts);
-    expect_plans_equivalent(fresh, loaded, a, 5);
-  }
-}
-
-TEST(PlanIo, V6GoldenLevelsPlanStillLoads) {
-  // Committed by the pre-v7 build: a parallel level-scheduled plan
-  // (reorder off, barrier sync) over test::random_matrix(200, 7.0,
-  // symmetric, seed 5). v6 streams carry no LVLS blocked-schedule
-  // extension and no TUNE scheduler provenance; both must default.
-  auto loaded = load_plan_file(std::string(FBMPK_TEST_GOLDEN_DIR) +
-                               "/plan_v6.bin");
-  EXPECT_EQ(loaded.rows(), 200);
-  EXPECT_EQ(loaded.options().scheduler, Scheduler::kLevels);
-  EXPECT_TRUE(loaded.options().parallel);
-  EXPECT_FALSE(loaded.options().reorder);
-  EXPECT_GT(loaded.stats().num_levels_forward, 1);
-  EXPECT_FALSE(loaded.tuned_config().valid);
-  EXPECT_EQ(loaded.tuned_config().scheduler, Scheduler::kAbmc);
-  EXPECT_FALSE(loaded.tuned_config().scheduler_measured);
-  // Barrier sync: the blocked schedule stays absent even after the
-  // load-time upgrade (it is a point-to-point structure).
-  EXPECT_TRUE(loaded.level_sweep_schedule().empty());
-
-  // The v6 plan must compute exactly what a fresh v7 build computes.
-  const auto a = test::random_matrix(200, 7.0, true, 5);
-  PlanOptions opts;
-  opts.reorder = false;
-  opts.scheduler = Scheduler::kLevels;
-  auto fresh = MpkPlan::build(a, opts);
-  expect_plans_equivalent(fresh, loaded, a, 5);
-
-  // And the upgraded engine path agrees bitwise too: a fresh
-  // point-to-point build over the same matrix runs the same per-row
-  // kernels the v6 barrier plan does.
-  PlanOptions p2p = opts;
-  p2p.sweep.sync = SweepSync::kPointToPoint;
-  auto engine = MpkPlan::build(a, p2p);
-  expect_plans_equivalent(engine, loaded, a, 5);
 }
 
 TEST(PlanIo, LoadedPlanMatchesBaselineNumerics) {

@@ -285,42 +285,133 @@ TEST_F(ServiceTest, DegradationLadderOnLevelPlanFallsToSerialBitwiseEqual) {
   expect_bitwise_equal(yb, serial_oracle(b, xb, 5, opts.plan));
 }
 
-TEST_F(ServiceTest, CorruptCacheEntryIsEvictedAndRebuilt) {
+TEST_F(ServiceTest, ConcurrentMissesOnOneKeyShareOneEntry) {
+  // Four threads miss on one key at once. Builds run outside the cache
+  // lock, so several may build; the first insert wins and every caller
+  // must come back holding that one entry and its one plan.
   const auto a = gen::make_laplacian_2d(16, 16);
   const auto x = test_input(a.rows());
-  ServiceOptions opts;
-  opts.workers = 1;
-  MpkService svc(opts);
+  const PlanOptions po;
+  const auto oracle = serial_oracle(a, x, 3, po);
+  const std::uint64_t key = fingerprint(a);
+  PlanCache cache(4);
 
-  AlignedVector<double> y(static_cast<std::size_t>(a.rows()));
-  ASSERT_TRUE(svc.power(a, x, 3, y).status.ok());
-  ASSERT_TRUE(svc.cache().corrupt_entry(fingerprint(a)));
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::shared_ptr<PlanCache::Entry>> entries(kThreads);
+  std::vector<AlignedVector<double>> ys(
+      kThreads, AlignedVector<double>(static_cast<std::size_t>(a.rows())));
+  std::vector<Status> sts(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      entries[t] = cache.acquire(key, [&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return MpkPlan::build(a, po);
+      });
+      MpkPlan::Workspace ws;
+      sts[t] = entries[t]->plan->try_power(x, 3, ys[t], ws);
+    });
+  }
+  for (auto& th : pool) th.join();
 
-  // The damaged artifact fails its checksum on rehydration — it is
-  // never served; the entry is evicted and rebuilt.
-  const RequestResult r = svc.power(a, x, 3, y);
-  ASSERT_TRUE(r.status.ok()) << r.status.error().what();
-  EXPECT_FALSE(r.cache_hit);
-  const ServiceStats st = svc.stats();
-  EXPECT_EQ(st.cache.corrupt_evictions, 1u);
-  EXPECT_EQ(st.cache.misses, 2u);
-  expect_bitwise_equal(y, serial_oracle(a, x, 3, opts.plan));
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(t);
+    ASSERT_NE(entries[t], nullptr);
+    EXPECT_EQ(entries[t], entries[0]);
+    EXPECT_EQ(entries[t]->plan, entries[0]->plan);
+    ASSERT_TRUE(sts[t].ok()) << sts[t].error().what();
+    expect_bitwise_equal(ys[t], oracle);
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits + s.misses, static_cast<std::uint64_t>(kThreads));
 }
 
-TEST_F(ServiceTest, InjectedCorruptionFaultTriggersRebuildOnHitPath) {
-  const auto a = gen::make_laplacian_2d(16, 16);
+TEST_F(ServiceTest, EvictedEntryStaysUsableWhileHeld) {
+  // A returned entry owns its plan: capacity eviction drops the cache's
+  // reference, never the holder's, and the plan keeps serving.
+  const auto a = gen::make_laplacian_2d(12, 12);
+  const auto b = gen::make_laplacian_2d(13, 12);
   const auto x = test_input(a.rows());
-  ServiceOptions opts;
-  opts.workers = 1;
-  MpkService svc(opts);
+  const PlanOptions po;
+  PlanCache cache(1);
+  auto held =
+      cache.acquire(fingerprint(a), [&] { return MpkPlan::build(a, po); });
+  const MpkPlan* plan_before = held->plan.get();
+  cache.acquire(fingerprint(b), [&] { return MpkPlan::build(b, po); });
+  ASSERT_EQ(cache.keys_lru_order(),
+            (std::vector<std::uint64_t>{fingerprint(b)}));
+  EXPECT_EQ(cache.stats().evictions, 1u);
 
+  EXPECT_EQ(held->plan.get(), plan_before);
   AlignedVector<double> y(static_cast<std::size_t>(a.rows()));
-  ASSERT_TRUE(svc.power(a, x, 2, y).status.ok());
-  fault::Injector::instance().arm(fault::Point::kCacheCorrupt, /*fires=*/1);
-  const RequestResult r = svc.power(a, x, 2, y);
-  ASSERT_TRUE(r.status.ok()) << r.status.error().what();
-  EXPECT_FALSE(r.cache_hit);
-  EXPECT_EQ(svc.stats().cache.corrupt_evictions, 1u);
+  MpkPlan::Workspace ws;
+  const Status st = held->plan->try_power(x, 4, y, ws);
+  ASSERT_TRUE(st.ok()) << st.error().what();
+  expect_bitwise_equal(y, serial_oracle(a, x, 4, po));
+
+  // Re-acquiring the evicted key is a fresh miss with a new entry.
+  auto again =
+      cache.acquire(fingerprint(a), [&] { return MpkPlan::build(a, po); });
+  EXPECT_NE(again, held);
+  EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+TEST_F(ServiceTest, QuarantinedEntryIsRebuiltAndHolderKeepsOldPlan) {
+  const auto a = gen::make_laplacian_2d(12, 12);
+  const std::uint64_t key = fingerprint(a);
+  PlanCache cache(2);
+  int builds = 0;
+  const PlanCache::Builder build = [&] {
+    ++builds;
+    return MpkPlan::build(a);
+  };
+  auto first = cache.acquire(key, build);
+  EXPECT_EQ(cache.acquire(key, build), first);
+  EXPECT_EQ(builds, 1);
+
+  EXPECT_TRUE(cache.quarantine(key));
+  EXPECT_FALSE(cache.quarantine(fingerprint(gen::make_laplacian_2d(3, 3))));
+  auto second = cache.acquire(key, build);
+  EXPECT_EQ(builds, 2);
+  EXPECT_NE(second, first);
+  EXPECT_NE(second->plan, first->plan);
+  EXPECT_FALSE(second->quarantined.load());
+  EXPECT_TRUE(first->quarantined.load());
+  ASSERT_NE(first->plan, nullptr);
+  EXPECT_EQ(first->plan->rows(), a.rows());
+  EXPECT_EQ(cache.size(), 1u);
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.evictions, 0u);
+}
+
+TEST_F(ServiceTest, FailedBuildPropagatesTypedAndInsertsNothing) {
+  const auto a = gen::make_laplacian_2d(8, 8);
+  const std::uint64_t key = fingerprint(a);
+  PlanCache cache(2);
+  try {
+    cache.acquire(key, []() -> MpkPlan {
+      FBMPK_FAIL(ErrorCode::kResourceLimit, "builder refused");
+    });
+    FAIL() << "failed build returned an entry";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kResourceLimit);
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_TRUE(cache.keys_lru_order().empty());
+
+  // The key is not poisoned: the next acquire builds and inserts.
+  auto entry = cache.acquire(key, [&] { return MpkPlan::build(a); });
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->plan, nullptr);
+  EXPECT_EQ(entry->key, key);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST_F(ServiceTest, PrecisionCertificationFailureRebuildsAtFp64) {

@@ -5,8 +5,8 @@
 //              [--max-batch=4] [--batch-window-us=200]
 //
 // A chaos thread continuously arms random runtime fault points
-// (allocation failure, sweep stalls, cache-artifact corruption,
-// queue-full, precision-certification failure) while client threads
+// (allocation failure, sweep stalls, queue-full, precision-certification
+// failure) while client threads
 // hammer one MpkService with mixed deadlines and explicit cancels.
 // Clients periodically fire same-(matrix, k) bursts so the request
 // coalescer (enabled by default here) batches under chaos too.
@@ -17,7 +17,7 @@
 //   2. every request finishes with either a correct result — bitwise
 //      identical to a precomputed serial oracle; all soak plans are
 //      exact-mode — or a typed error from the allowed set
-//      (kTimeout/kOverloaded/kCancelled/kCorruptPlan/kResourceLimit/
+//      (kTimeout/kOverloaded/kCancelled/kResourceLimit/
 //      kNumericalBreakdown);
 //   3. the service's own accounting balances: submitted == completed.
 //
@@ -79,8 +79,7 @@ std::string string_flag(int argc, char** argv, const char* name,
 
 bool allowed_error(ErrorCode c) {
   return c == ErrorCode::kTimeout || c == ErrorCode::kOverloaded ||
-         c == ErrorCode::kCancelled || c == ErrorCode::kCorruptPlan ||
-         c == ErrorCode::kResourceLimit ||
+         c == ErrorCode::kCancelled || c == ErrorCode::kResourceLimit ||
          c == ErrorCode::kNumericalBreakdown;
 }
 
@@ -172,7 +171,7 @@ int main(int argc, char** argv) {
     Rng64 rng(seed);
     while (!stop.load(std::memory_order_relaxed)) {
       auto& inj = fault::Injector::instance();
-      switch (rng.range(0, 4)) {
+      switch (rng.range(0, 3)) {
         case 0:
           inj.arm(fault::Point::kAlloc, static_cast<long long>(rng.range(1, 3)));
           break;
@@ -183,13 +182,10 @@ int main(int argc, char** argv) {
                   static_cast<long long>(rng.range(5, 60)));
           break;
         case 2:
-          inj.arm(fault::Point::kCacheCorrupt, 1);
-          break;
-        case 3:
           inj.arm(fault::Point::kQueueFull,
                   static_cast<long long>(rng.range(1, 2)));
           break;
-        case 4:
+        case 3:
           inj.arm(fault::Point::kPrecisionCertify, 1);
           break;
       }
@@ -275,14 +271,12 @@ int main(int argc, char** argv) {
 
   const auto st = svc.stats();
   std::printf(
-      "requests: %lld ok, %lld typed errors; cache %llu/%llu hit/miss "
-      "(%llu corrupt evictions), ladder %llu+%llu steps, %llu fp64 "
-      "rebuilds, %llu quarantines, %llu overload rejections, %llu "
-      "timeouts, %llu cancelled\n",
+      "requests: %lld ok, %lld typed errors; cache %llu/%llu hit/miss, "
+      "ladder %llu+%llu steps, %llu fp64 rebuilds, %llu quarantines, "
+      "%llu overload rejections, %llu timeouts, %llu cancelled\n",
       ok_count.load(), typed_count.load(),
       static_cast<unsigned long long>(st.cache.hits),
       static_cast<unsigned long long>(st.cache.misses),
-      static_cast<unsigned long long>(st.cache.corrupt_evictions),
       static_cast<unsigned long long>(st.degrade_engine_to_barrier),
       static_cast<unsigned long long>(st.degrade_barrier_to_serial),
       static_cast<unsigned long long>(st.precision_rebuilds),
