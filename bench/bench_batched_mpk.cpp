@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
               backend_name(backend));
 
   const int kPower = opts.powers.empty() ? 8 : opts.powers.front();
-  const std::vector<int> widths = {1, 2, 4, 8, 16};
+  const std::vector<int> widths = {1, 2, 4, 8};
   const int max_width = widths.back();
 
   perf::Table table({"matrix", "B", "singles_ms", "batched_ms", "speedup",

@@ -1,11 +1,11 @@
-// Mixed-precision value storage: fp64 vs fp32 vs split hi/lo streams
-// through the identical serial FBMPK pipeline (PR 4).
+// Mixed-precision value storage: fp64 vs fp32 value streams through
+// the identical serial FBMPK pipeline.
 //
 // All configurations share one backend (the dispatched auto choice)
 // and band-compressed column indices, so the only variable is the
-// stored value stream: 8 B/nnz doubles, 4 B/nnz floats, or the 8 B/nnz
-// hi/lo float pair. Accumulation is always fp64 (docs/KERNELS.md
-// bounds the value-rounding error). bytes_moved uses the
+// stored value stream: 8 B/nnz doubles or 4 B/nnz floats.
+// Accumulation is always fp64 (docs/KERNELS.md bounds the
+// value-rounding error). bytes_moved uses the
 // precision-aware traffic model, so the fp32 rows show both the
 // measured speedup and the modelled traffic reduction it comes from.
 //
@@ -19,8 +19,7 @@ using namespace fbmpk;
 
 int main(int argc, char** argv) {
   auto opts = perf::BenchOptions::parse(argc, argv);
-  bench::print_banner("mixed-precision values — fp64 vs fp32 vs split",
-                      opts);
+  bench::print_banner("mixed-precision values — fp64 vs fp32", opts);
   set_threads(1);  // isolate the value stream, not the schedule
 
   const KernelBackend backend = resolve_backend(KernelBackend::kAuto);
@@ -29,8 +28,8 @@ int main(int argc, char** argv) {
 
   const std::vector<int> powers =
       opts.powers.empty() ? std::vector<int>{4, 16} : opts.powers;
-  const ValuePrecision precisions[] = {
-      ValuePrecision::kFp64, ValuePrecision::kFp32, ValuePrecision::kSplit};
+  const ValuePrecision precisions[] = {ValuePrecision::kFp64,
+                                       ValuePrecision::kFp32};
 
   perf::Table table(
       {"matrix", "k", "values", "ms", "vs_fp64", "value_MB"});
@@ -81,7 +80,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nsingle-thread serial pipeline, one backend, compressed indices; "
       "only the stored\nvalue stream changes. fp32 halves value traffic "
-      "(4 B/nnz); split keeps 8 B/nnz\nbut decodes losslessly when every "
-      "value survives the hi/lo round-trip.\n");
+      "(4 B/nnz).\n");
   return 0;
 }

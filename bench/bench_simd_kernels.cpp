@@ -1,11 +1,11 @@
-// Row-kernel backend comparison: exact scalar vs the dispatched vector
-// backends (generic / AVX2 / AVX-512) and the band-compressed column
-// sidecar, single thread, k in {4, 8, 16}.
+// Row-kernel backend comparison: exact scalar vs the dispatched AVX2
+// backend and the band-compressed column sidecar, single thread,
+// k in {4, 8, 16}.
 //
 // All configurations run the identical serial FBMPK pipeline; the only
 // difference is the per-row dot kernel (kernels/dispatch.hpp) and the
 // column-index stream (sparse/packed_tri.hpp). "scalar" is the exact
-// reference; the vector backends reassociate within a row dot
+// reference; the AVX2 backend reassociates within a row dot
 // (docs/KERNELS.md bounds the error). bytes_moved uses the traffic
 // model with the measured sidecar bytes/nnz for compressed runs.
 //
@@ -33,12 +33,9 @@ int main(int argc, char** argv) {
 
   std::vector<Config> configs{{"scalar", KernelBackend::kScalar, false},
                               {"scalar_packed", KernelBackend::kScalar, true}};
-  for (const KernelBackend b :
-       {KernelBackend::kGeneric, KernelBackend::kAvx2,
-        KernelBackend::kAvx512}) {
-    if (!backend_available(b)) continue;
-    configs.push_back({backend_name(b), b, false});
-    configs.push_back({std::string(backend_name(b)) + "_packed", b, true});
+  if (backend_available(KernelBackend::kAvx2)) {
+    configs.push_back({"avx2", KernelBackend::kAvx2, false});
+    configs.push_back({"avx2_packed", KernelBackend::kAvx2, true});
   }
 
   const std::vector<int> powers =
@@ -85,7 +82,7 @@ int main(int argc, char** argv) {
   report.write();
   std::printf(
       "\nsingle-thread serial pipeline; scalar is the exact reference, "
-      "vector backends\nreassociate within one row dot, *_packed reads "
+      "avx2\nreassociates within one row dot, *_packed reads "
       "u16 band offsets where a band's\ncolumn range fits (full-width "
       "fallback otherwise).\n");
   return 0;

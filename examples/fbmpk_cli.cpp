@@ -3,7 +3,7 @@
 // store it next to the matrix, reload and run it many times.
 //
 //   fbmpk_cli plan  --matrix=<src> --out=plan.bin [--blocks=512]
-//                   [--autotune-k=5] [--backend=auto|scalar|avx2|avx512]
+//                   [--autotune-k=5] [--backend=auto|scalar|avx2]
 //                   [--index-compress] [--prefetch-dist=16]
 //   fbmpk_cli info  --plan=plan.bin
 //   fbmpk_cli power --plan=plan.bin --k=5 [--nvec=1] [--x=x.txt] [--out=y.txt]
@@ -256,8 +256,8 @@ int cmd_plan(const Args& args) {
   opts.kernel_backend = parse_backend(get(args, "backend", "scalar"));
   opts.index_compress = get(args, "index-compress", "0") != "0";
   opts.prefetch_dist = std::stoi(get(args, "prefetch-dist", "16"));
-  // Value storage precision. fp64 is the exact default; fp32 and split
-  // narrow the stored value stream while accumulating in fp64
+  // Value storage precision. fp64 is the exact default; fp32 narrows
+  // the stored value stream while accumulating in fp64
   // (docs/KERNELS.md has the error bound).
   opts.value_precision = parse_precision(get(args, "precision", "fp64"));
   MpkPlan plan = [&] {
@@ -758,9 +758,9 @@ int main(int argc, char** argv) {
                  " [--blocks=512] [--autotune-k=5]\n"
                  "        [--scheduler=abmc|levels|auto]"
                  " [--sweep=barrier|p2p] [--sweep-threads=0]\n"
-                 "        [--backend=auto|scalar|generic|avx2|avx512]"
+                 "        [--backend=auto|scalar|avx2]"
                  " [--index-compress] [--prefetch-dist=16]\n"
-                 "        [--precision=fp64|fp32|split]\n"
+                 "        [--precision=fp64|fp32]\n"
                  "  info  --plan=plan.bin\n"
                  "  power --plan=plan.bin --k=5 [--nvec=1] [--x=x.txt]"
                  " [--out=y.txt] [--scheduler=abmc|levels]\n"

@@ -15,12 +15,6 @@ namespace fbmpk {
 
 namespace {
 
-/// Bytes per stored triangle/diagonal value under a precision mode
-/// (the split pair is two floats — same stream bytes as fp64).
-std::size_t stored_value_bytes(ValuePrecision p) {
-  return p == ValuePrecision::kFp32 ? sizeof(float) : sizeof(double);
-}
-
 struct ProbeVectors {
   AlignedVector<double> x, y;
   explicit ProbeVectors(index_t n)
@@ -169,7 +163,7 @@ AutotuneResult autotune_block_count(const CsrMatrix<double>& a, int k,
     rc.max_sample_rows = view.sampled
                              ? std::max<index_t>(1024, oracle.max_sample_rows / 2)
                              : oracle.max_sample_rows;
-    rc.matrix_value_bytes = stored_value_bytes(base.value_precision);
+    rc.matrix_value_bytes = precision_value_bytes(base.value_precision);
     std::vector<double> predicted(candidates.size(), 0.0);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       AbmcOptions ao = base.abmc;
@@ -287,7 +281,7 @@ SchedulerRaceResult autotune_scheduler(const CsrMatrix<double>& a, int k,
     rc.max_sample_rows = view.sampled
                              ? std::max<index_t>(1024, oracle.max_sample_rows / 2)
                              : oracle.max_sample_rows;
-    rc.matrix_value_bytes = stored_value_bytes(base.value_precision);
+    rc.matrix_value_bytes = precision_value_bytes(base.value_precision);
 
     AbmcOptions ao = base.abmc;
     ao.num_blocks = view.scaled_blocks(base.abmc.num_blocks);
@@ -378,39 +372,16 @@ KernelConfigResult autotune_kernel_config(const CsrMatrix<double>& a, int k,
   if (dispatch_ok) {
     candidates.push_back({KernelBackend::kScalar, true, ValuePrecision::kFp64});
 
-    // Reduced value precision needs every value inside float range; the
-    // split pair is additionally *exact* when each value survives the
-    // hi/lo round-trip, which makes it eligible without allow_fast.
-    const auto vals = std::span<const double>(a.values());
-    const bool fits = values_fit_fp32(vals);
-    bool lossless = fits;
-    if (fits) {
-      for (double v : vals) {
-        float hi = 0.0f, lo = 0.0f;
-        split_value(v, hi, lo);
-        if (join_split(hi, lo) != v) {
-          lossless = false;
-          break;
-        }
-      }
-    }
-    if (lossless) {
-      candidates.push_back(
-          {KernelBackend::kScalar, false, ValuePrecision::kSplit});
-      candidates.push_back(
-          {KernelBackend::kScalar, true, ValuePrecision::kSplit});
-    }
     if (allow_fast) {
       const KernelBackend fast = resolve_backend(KernelBackend::kAuto);
       if (fast != KernelBackend::kScalar) {
         candidates.push_back({fast, false, ValuePrecision::kFp64});
         candidates.push_back({fast, true, ValuePrecision::kFp64});
       }
-      if (fits) {
+      // fp32 storage needs every value inside float range.
+      if (values_fit_fp32(a.values())) {
         candidates.push_back({fast, false, ValuePrecision::kFp32});
         candidates.push_back({fast, true, ValuePrecision::kFp32});
-        if (!lossless)  // approximate split: fast-mode only
-          candidates.push_back({fast, true, ValuePrecision::kSplit});
       }
     }
   }
@@ -460,7 +431,7 @@ KernelConfigResult autotune_kernel_config(const CsrMatrix<double>& a, int k,
       const double cib = candidates[i].compress
                              ? packed_cib
                              : static_cast<double>(sizeof(index_t));
-      const std::size_t vb = stored_value_bytes(candidates[i].precision);
+      const std::size_t vb = precision_value_bytes(candidates[i].precision);
       std::size_t ci = 0;
       for (; ci < classes.size(); ++ci)
         if (classes[ci] == std::pair<double, std::size_t>{cib, vb}) break;

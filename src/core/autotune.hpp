@@ -154,18 +154,14 @@ struct KernelConfigResult {
 };
 
 /// Measure y = A^k x across row-kernel configurations — the exact
-/// scalar backend vs the widest available vector backend, each with
-/// plain and band-compressed column indices, and fp64 vs reduced value
-/// precision — and pick the fastest. Vector (fast-mode) and fp32
-/// candidates are only tried when `allow_fast` is set: both trade the
-/// bitwise exact result for a bounded error (docs/KERNELS.md), so the
-/// caller must opt in. Split hi/lo storage is *exact-eligible*: when
-/// every matrix value survives the hi/lo round-trip, split candidates
-/// are measured even without `allow_fast` because the scalar split
-/// kernel reproduces the exact result bitwise. Configurations the plan
-/// builder rejects (the split variant) are skipped, leaving the
-/// scalar/plain baseline; both schedulers dispatch the full candidate
-/// set.
+/// scalar backend vs the AVX2 backend when available, each with plain
+/// and band-compressed column indices, and fp64 vs fp32 value storage
+/// — and pick the fastest. Vector (fast-mode) and fp32 candidates are
+/// only tried when `allow_fast` is set: both trade the bitwise exact
+/// result for a bounded error (docs/KERNELS.md), so the caller must opt
+/// in. Configurations the plan builder rejects (the split variant) are
+/// skipped, leaving the scalar/plain baseline; both schedulers dispatch
+/// the full candidate set.
 KernelConfigResult autotune_kernel_config(const CsrMatrix<double>& a, int k,
                                           int reps = 3, PlanOptions base = {},
                                           bool allow_fast = false,

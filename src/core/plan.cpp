@@ -554,10 +554,7 @@ Status MpkPlan::try_power_batch(const double* const* xs, index_t nvec, int k,
       const index_t rem = nvec - done;
       Status st;
       index_t width;
-      if (rem >= 16) {
-        width = 16;
-        st = run_power_batch_chunk<16>(xs + done, k, ys + done, path, ctl);
-      } else if (rem >= 8) {
+      if (rem >= 8) {
         width = 8;
         st = run_power_batch_chunk<8>(xs + done, k, ys + done, path, ctl);
       } else if (rem >= 4) {

@@ -148,9 +148,8 @@ struct PlanOptions {
   int prefetch_dist = 16;
   /// How triangle/diagonal values are *stored* for the sweeps. kFp64
   /// (default) reads the CSR doubles. kFp32 stores floats (4 bytes/nnz,
-  /// per-value rounding <= eps_f32 relative — see docs/KERNELS.md);
-  /// kSplit stores a hi/lo float pair whose sum reconstructs the
-  /// double (lossless on many matrices). Accumulation is always fp64,
+  /// per-value rounding <= eps_f32 relative — see docs/KERNELS.md).
+  /// Accumulation is always fp64,
   /// and results stay bitwise deterministic across schedules for a
   /// fixed precision. Non-fp64 requires the BtB variant and all
   /// values finite within float range.
@@ -283,7 +282,7 @@ class MpkPlan {
   /// Batched right-hand sides: ys[b] = A^k xs[b] for b in [0, nvec) in
   /// multi-vector sweeps over the xy[2·B·n] interleaved layout, so the
   /// triangles are read once per chunk instead of once per vector.
-  /// nvec is chunked greedily over widths {16, 8, 4, 2, 1}; each lane's
+  /// nvec is chunked greedily over widths {8, 4, 2, 1}; each lane's
   /// result is bitwise identical to the serial scalar-backend sweep of
   /// that vector alone at the same stored precision (the batch kernels
   /// replicate the exact per-lane accumulation order for every backend

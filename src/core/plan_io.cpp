@@ -19,7 +19,7 @@ namespace fbmpk {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Format v7 (see docs/ROBUSTNESS.md):
+// Format v8 (see docs/ROBUSTNESS.md):
 //
 //   [ magic "FBMPKPLN" | u32 version | u32 index_width |
 //     u64 payload_size | u32 payload_crc32 ]  -- fixed header
@@ -49,7 +49,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 constexpr char kMagic[8] = {'F', 'B', 'M', 'P', 'K', 'P', 'L', 'N'};
-constexpr std::uint32_t kVersion = 7;
+constexpr std::uint32_t kVersion = 8;
 
 // Section tags, in the order they are written.
 enum : std::uint32_t {
@@ -317,8 +317,6 @@ void write_values(BlobWriter& w, const PackedTriangleValues& p) {
   w.pod(raw.lossless);
   w.pod(raw.count);
   w.vec(raw.f32);
-  w.vec(raw.hi);
-  w.vec(raw.lo);
 }
 
 PackedTriangleValues read_values(BlobReader& r, const char* name) {
@@ -327,8 +325,6 @@ PackedTriangleValues read_values(BlobReader& r, const char* name) {
   raw.lossless = r.pod<std::uint8_t>();
   raw.count = r.pod<std::uint64_t>();
   raw.f32 = r.vec<AlignedVector<float>>();
-  raw.hi = r.vec<AlignedVector<float>>();
-  raw.lo = r.vec<AlignedVector<float>>();
   PackedTriangleValues out;
   FBMPK_CHECK_CODE(PackedTriangleValues::from_raw(std::move(raw), out),
                    ErrorCode::kCorruptPlan,
@@ -608,7 +604,7 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   plan.opts_.sanitize.zero_diag_tolerance = r.pod<double>();
   plan.opts_.sanitize.patched_diagonal = r.pod<double>();
   plan.opts_.kernel_backend =
-      r.enumeration<KernelBackend>(5, "kernel backend");
+      r.enumeration<KernelBackend>(3, "kernel backend");
   plan.opts_.index_compress = r.boolean();
   plan.opts_.prefetch_dist = r.pod<std::int32_t>();
   FBMPK_CHECK_CODE(
@@ -616,7 +612,7 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
       ErrorCode::kCorruptPlan,
       "prefetch distance out of range in plan: " << plan.opts_.prefetch_dist);
   plan.opts_.value_precision =
-      r.enumeration<ValuePrecision>(3, "value precision");
+      r.enumeration<ValuePrecision>(2, "value precision");
   plan.opts_.autotune_oracle = r.boolean();
   r.end_section(sec, "options");
 
@@ -713,7 +709,7 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
 
   sec = r.begin_section(kSecValues, "packed values");
   plan.values_.precision =
-      r.enumeration<ValuePrecision>(3, "sidecar precision");
+      r.enumeration<ValuePrecision>(2, "sidecar precision");
   plan.values_.lower = read_values(r, "lower");
   plan.values_.upper = read_values(r, "upper");
   plan.values_.diag = read_values(r, "diag");
@@ -722,9 +718,9 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   sec = r.begin_section(kSecTuned, "tuned config");
   TunedConfig& t = plan.tuned_;
   t.valid = r.boolean();
-  t.backend = r.enumeration<KernelBackend>(5, "tuned backend");
+  t.backend = r.enumeration<KernelBackend>(3, "tuned backend");
   t.index_compress = r.boolean();
-  t.value_precision = r.enumeration<ValuePrecision>(3, "tuned precision");
+  t.value_precision = r.enumeration<ValuePrecision>(2, "tuned precision");
   t.tuned_threads = r.pod<index_t>();
   FBMPK_CHECK_CODE(t.tuned_threads >= 0, ErrorCode::kCorruptPlan,
                    "negative tuned thread count in plan");

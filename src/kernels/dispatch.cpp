@@ -5,11 +5,8 @@
 //                 plus u16 narrow-band twins that replicate the exact
 //                 4-way accumulation order, so `exact + compressed`
 //                 stays bitwise identical to `exact + plain`.
-//   2. generic  — same operation order as scalar with software
-//                 prefetch of the col/val streams; the portable "fast"
-//                 path for CPUs without AVX (also bitwise == scalar).
-//   3. avx2/avx512 — gather-based vector kernels, compiled inside
-//                 `#pragma GCC target` regions so the translation unit
+//   2. avx2     — gather-based vector kernels, compiled inside a
+//                 `#pragma GCC target` region so the translation unit
 //                 itself needs no -march flags; guarded by CPUID at
 //                 dispatch time. These reassociate (lane-parallel
 //                 partial sums) and are only reachable in fast mode.
@@ -99,8 +96,7 @@ void dot1_u16_scalar(const std::uint16_t* col, const double* val, index_t len,
 // Reduced-precision scalar twins (PR 4). The widened value is bound to
 // a local double first, then used in *exactly* the reference
 // accumulation shape — the only deviation from the fp64 result is the
-// value encoding itself. Split widens both halves losslessly, so when
-// hi+lo reconstructs the double these twins are bitwise == fp64.
+// value encoding itself.
 
 void dot2_f32_scalar(const index_t* col, const float* val, index_t len,
                      const double* xy, int /*prefetch*/, double& s0,
@@ -203,289 +199,13 @@ void dot1_u16_f32_scalar(const std::uint16_t* col, const float* val,
   s += (a + b) + (c2 + d2);
 }
 
-/// Widen a split pair: both casts are exact, and the sum of two floats
-/// is always representable in double, so this is join_split() inlined.
-inline double widen_split(float hi, float lo) {
-  return static_cast<double>(hi) + static_cast<double>(lo);
-}
-
-void dot2_split_scalar(const index_t* col, const float* hi, const float* lo,
-                       index_t len, const double* xy, int /*prefetch*/,
-                       double& s0, double& s1) {
-  double a0{}, a1{}, b0{}, b1{}, c0s{}, c1s{}, d0{}, d1{};
-  index_t j = 0;
-  for (; j + 3 < len; j += 4) {
-    const index_t c0 = col[j];
-    const index_t c1 = col[j + 1];
-    const index_t c2 = col[j + 2];
-    const index_t c3 = col[j + 3];
-    const double v0 = widen_split(hi[j], lo[j]);
-    const double v1 = widen_split(hi[j + 1], lo[j + 1]);
-    const double v2 = widen_split(hi[j + 2], lo[j + 2]);
-    const double v3 = widen_split(hi[j + 3], lo[j + 3]);
-    a0 += v0 * xy[2 * c0];
-    a1 += v0 * xy[2 * c0 + 1];
-    b0 += v1 * xy[2 * c1];
-    b1 += v1 * xy[2 * c1 + 1];
-    c0s += v2 * xy[2 * c2];
-    c1s += v2 * xy[2 * c2 + 1];
-    d0 += v3 * xy[2 * c3];
-    d1 += v3 * xy[2 * c3 + 1];
-  }
-  for (; j < len; ++j) {
-    const index_t c = col[j];
-    const double v = widen_split(hi[j], lo[j]);
-    a0 += v * xy[2 * c];
-    a1 += v * xy[2 * c + 1];
-  }
-  s0 += (a0 + b0) + (c0s + d0);
-  s1 += (a1 + b1) + (c1s + d1);
-}
-
-void dot1_split_scalar(const index_t* col, const float* hi, const float* lo,
-                       index_t len, const double* xy, int offset,
-                       int /*prefetch*/, double& s) {
-  double a{}, b{}, c2{}, d2{};
-  index_t j = 0;
-  for (; j + 3 < len; j += 4) {
-    a += widen_split(hi[j], lo[j]) * xy[2 * col[j] + offset];
-    b += widen_split(hi[j + 1], lo[j + 1]) * xy[2 * col[j + 1] + offset];
-    c2 += widen_split(hi[j + 2], lo[j + 2]) * xy[2 * col[j + 2] + offset];
-    d2 += widen_split(hi[j + 3], lo[j + 3]) * xy[2 * col[j + 3] + offset];
-  }
-  for (; j < len; ++j)
-    a += widen_split(hi[j], lo[j]) * xy[2 * col[j] + offset];
-  s += (a + b) + (c2 + d2);
-}
-
-void dot2_u16_split_scalar(const std::uint16_t* col, const float* hi,
-                           const float* lo, index_t len, index_t base,
-                           const double* xy, int /*prefetch*/, double& s0,
-                           double& s1) {
-  double a0{}, a1{}, b0{}, b1{}, c0s{}, c1s{}, d0{}, d1{};
-  index_t j = 0;
-  for (; j + 3 < len; j += 4) {
-    const index_t c0 = base + col[j];
-    const index_t c1 = base + col[j + 1];
-    const index_t c2 = base + col[j + 2];
-    const index_t c3 = base + col[j + 3];
-    const double v0 = widen_split(hi[j], lo[j]);
-    const double v1 = widen_split(hi[j + 1], lo[j + 1]);
-    const double v2 = widen_split(hi[j + 2], lo[j + 2]);
-    const double v3 = widen_split(hi[j + 3], lo[j + 3]);
-    a0 += v0 * xy[2 * c0];
-    a1 += v0 * xy[2 * c0 + 1];
-    b0 += v1 * xy[2 * c1];
-    b1 += v1 * xy[2 * c1 + 1];
-    c0s += v2 * xy[2 * c2];
-    c1s += v2 * xy[2 * c2 + 1];
-    d0 += v3 * xy[2 * c3];
-    d1 += v3 * xy[2 * c3 + 1];
-  }
-  for (; j < len; ++j) {
-    const index_t c = base + col[j];
-    const double v = widen_split(hi[j], lo[j]);
-    a0 += v * xy[2 * c];
-    a1 += v * xy[2 * c + 1];
-  }
-  s0 += (a0 + b0) + (c0s + d0);
-  s1 += (a1 + b1) + (c1s + d1);
-}
-
-void dot1_u16_split_scalar(const std::uint16_t* col, const float* hi,
-                           const float* lo, index_t len, index_t base,
-                           const double* xy, int offset, int /*prefetch*/,
-                           double& s) {
-  double a{}, b{}, c2{}, d2{};
-  index_t j = 0;
-  for (; j + 3 < len; j += 4) {
-    a += widen_split(hi[j], lo[j]) * xy[2 * (base + col[j]) + offset];
-    b += widen_split(hi[j + 1], lo[j + 1]) *
-         xy[2 * (base + col[j + 1]) + offset];
-    c2 += widen_split(hi[j + 2], lo[j + 2]) *
-          xy[2 * (base + col[j + 2]) + offset];
-    d2 += widen_split(hi[j + 3], lo[j + 3]) *
-          xy[2 * (base + col[j + 3]) + offset];
-  }
-  for (; j < len; ++j)
-    a += widen_split(hi[j], lo[j]) * xy[2 * (base + col[j]) + offset];
-  s += (a + b) + (c2 + d2);
-}
-
-// ---------------------------------------------------------------------
-// 2. generic — scalar order + software prefetch (portable fast path).
-//    __builtin_prefetch never faults, so running past the end of the
-//    stream by the lookahead distance is safe.
-// ---------------------------------------------------------------------
-
-void dot2_generic(const index_t* col, const double* val, index_t len,
-                  const double* xy, int prefetch, double& s0, double& s1) {
-  double a0{}, a1{}, b0{}, b1{}, c0s{}, c1s{}, d0{}, d1{};
-  index_t j = 0;
-  for (; j + 3 < len; j += 4) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const index_t c0 = col[j];
-    const index_t c1 = col[j + 1];
-    const index_t c2 = col[j + 2];
-    const index_t c3 = col[j + 3];
-    a0 += val[j] * xy[2 * c0];
-    a1 += val[j] * xy[2 * c0 + 1];
-    b0 += val[j + 1] * xy[2 * c1];
-    b1 += val[j + 1] * xy[2 * c1 + 1];
-    c0s += val[j + 2] * xy[2 * c2];
-    c1s += val[j + 2] * xy[2 * c2 + 1];
-    d0 += val[j + 3] * xy[2 * c3];
-    d1 += val[j + 3] * xy[2 * c3 + 1];
-  }
-  for (; j < len; ++j) {
-    const index_t c = col[j];
-    a0 += val[j] * xy[2 * c];
-    a1 += val[j] * xy[2 * c + 1];
-  }
-  s0 += (a0 + b0) + (c0s + d0);
-  s1 += (a1 + b1) + (c1s + d1);
-}
-
-void dot1_generic(const index_t* col, const double* val, index_t len,
-                  const double* xy, int offset, int prefetch, double& s) {
-  double a{}, b{}, c2{}, d2{};
-  index_t j = 0;
-  for (; j + 3 < len; j += 4) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    a += val[j] * xy[2 * col[j] + offset];
-    b += val[j + 1] * xy[2 * col[j + 1] + offset];
-    c2 += val[j + 2] * xy[2 * col[j + 2] + offset];
-    d2 += val[j + 3] * xy[2 * col[j + 3] + offset];
-  }
-  for (; j < len; ++j) a += val[j] * xy[2 * col[j] + offset];
-  s += (a + b) + (c2 + d2);
-}
-
-void dot2_u16_generic(const std::uint16_t* col, const double* val,
-                      index_t len, index_t base, const double* xy,
-                      int prefetch, double& s0, double& s1) {
-  if (prefetch > 0) {
-    // u16 streams cover 2x the nnz per line; one hint per block is
-    // enough, issued from the scalar twin's loop below via the plain
-    // pointer arithmetic here.
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(val + prefetch);
-  }
-  dot2_u16_scalar(col, val, len, base, xy, 0, s0, s1);
-}
-
-void dot1_u16_generic(const std::uint16_t* col, const double* val,
-                      index_t len, index_t base, const double* xy, int offset,
-                      int prefetch, double& s) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(val + prefetch);
-  }
-  dot1_u16_scalar(col, val, len, base, xy, offset, 0, s);
-}
-
-// Reduced-precision generic variants: one lookahead hint per row (the
-// narrow value streams cover 2x the nnz per cache line, so the
-// per-block hints of the fp64 loops buy little), then the scalar twin
-// — keeps generic bitwise identical to scalar per precision.
-
-void dot2_f32_generic(const index_t* col, const float* val, index_t len,
-                      const double* xy, int prefetch, double& s0, double& s1) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(val + prefetch);
-  }
-  dot2_f32_scalar(col, val, len, xy, 0, s0, s1);
-}
-
-void dot1_f32_generic(const index_t* col, const float* val, index_t len,
-                      const double* xy, int offset, int prefetch, double& s) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(val + prefetch);
-  }
-  dot1_f32_scalar(col, val, len, xy, offset, 0, s);
-}
-
-void dot2_u16_f32_generic(const std::uint16_t* col, const float* val,
-                          index_t len, index_t base, const double* xy,
-                          int prefetch, double& s0, double& s1) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(val + prefetch);
-  }
-  dot2_u16_f32_scalar(col, val, len, base, xy, 0, s0, s1);
-}
-
-void dot1_u16_f32_generic(const std::uint16_t* col, const float* val,
-                          index_t len, index_t base, const double* xy,
-                          int offset, int prefetch, double& s) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(val + prefetch);
-  }
-  dot1_u16_f32_scalar(col, val, len, base, xy, offset, 0, s);
-}
-
-void dot2_split_generic(const index_t* col, const float* hi, const float* lo,
-                        index_t len, const double* xy, int prefetch,
-                        double& s0, double& s1) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(hi + prefetch);
-    __builtin_prefetch(lo + prefetch);
-  }
-  dot2_split_scalar(col, hi, lo, len, xy, 0, s0, s1);
-}
-
-void dot1_split_generic(const index_t* col, const float* hi, const float* lo,
-                        index_t len, const double* xy, int offset,
-                        int prefetch, double& s) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(hi + prefetch);
-    __builtin_prefetch(lo + prefetch);
-  }
-  dot1_split_scalar(col, hi, lo, len, xy, offset, 0, s);
-}
-
-void dot2_u16_split_generic(const std::uint16_t* col, const float* hi,
-                            const float* lo, index_t len, index_t base,
-                            const double* xy, int prefetch, double& s0,
-                            double& s1) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(hi + prefetch);
-    __builtin_prefetch(lo + prefetch);
-  }
-  dot2_u16_split_scalar(col, hi, lo, len, base, xy, 0, s0, s1);
-}
-
-void dot1_u16_split_generic(const std::uint16_t* col, const float* hi,
-                            const float* lo, index_t len, index_t base,
-                            const double* xy, int offset, int prefetch,
-                            double& s) {
-  if (prefetch > 0) {
-    __builtin_prefetch(col + prefetch);
-    __builtin_prefetch(hi + prefetch);
-    __builtin_prefetch(lo + prefetch);
-  }
-  dot1_u16_split_scalar(col, hi, lo, len, base, xy, offset, 0, s);
-}
-
 #if FBMPK_X86
 
 // ---------------------------------------------------------------------
-// 3a. AVX2 — 4 nnz / iteration. The BtB layout makes both gathers use
-//     the same index vector (2c for even slots, the same indices off
-//     base xy+1 for odd slots), so one index computation feeds two
-//     gathers + two FMAs.
+// 2. AVX2 — 4 nnz / iteration. The BtB layout makes both gathers use
+//    the same index vector (2c for even slots, the same indices off
+//    base xy+1 for odd slots), so one index computation feeds two
+//    gathers + two FMAs.
 // ---------------------------------------------------------------------
 
 #pragma GCC push_options
@@ -615,8 +335,8 @@ void dot1_u16_avx2(const std::uint16_t* col, const double* val, index_t len,
 }
 
 // Reduced-precision AVX2 variants: 4 floats load as one 128-bit lane
-// and widen with vcvtps2pd; split widens both halves and adds before
-// the FMA. Same gather shape as the fp64 kernels above.
+// and widen with vcvtps2pd before the FMA. Same gather shape as the
+// fp64 kernels above.
 
 void dot2_f32_avx2(const index_t* col, const float* val, index_t len,
                    const double* xy, int prefetch, double& s0, double& s1) {
@@ -732,554 +452,28 @@ void dot1_u16_f32_avx2(const std::uint16_t* col, const float* val,
   s += t;
 }
 
-/// Widen + join 4 split pairs: each cvtps2pd is exact, as is the add.
-inline __m256d join4_avx2(const float* hi, const float* lo, index_t j) {
-  return _mm256_add_pd(_mm256_cvtps_pd(_mm_loadu_ps(hi + j)),
-                       _mm256_cvtps_pd(_mm_loadu_ps(lo + j)));
-}
-
-void dot2_split_avx2(const index_t* col, const float* hi, const float* lo,
-                     index_t len, const double* xy, int prefetch, double& s0,
-                     double& s1) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  index_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(hi + j + prefetch);
-      __builtin_prefetch(lo + j + prefetch);
-    }
-    const __m128i c =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
-    const __m128i c2 = _mm_slli_epi32(c, 1);
-    const __m256d xe = _mm256_i32gather_pd(xy, c2, 8);
-    const __m256d xo = _mm256_i32gather_pd(xy + 1, c2, 8);
-    const __m256d v = join4_avx2(hi, lo, j);
-    acc0 = _mm256_fmadd_pd(v, xe, acc0);
-    acc1 = _mm256_fmadd_pd(v, xo, acc1);
-  }
-  double t0 = hsum256(acc0);
-  double t1 = hsum256(acc1);
-  for (; j < len; ++j) {
-    const index_t c = col[j];
-    const double v =
-        static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-    t0 += v * xy[2 * c];
-    t1 += v * xy[2 * c + 1];
-  }
-  s0 += t0;
-  s1 += t1;
-}
-
-void dot1_split_avx2(const index_t* col, const float* hi, const float* lo,
-                     index_t len, const double* xy, int offset, int prefetch,
-                     double& s) {
-  const double* base = xy + offset;
-  __m256d acc = _mm256_setzero_pd();
-  index_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(hi + j + prefetch);
-      __builtin_prefetch(lo + j + prefetch);
-    }
-    const __m128i c =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
-    const __m128i c2 = _mm_slli_epi32(c, 1);
-    const __m256d x = _mm256_i32gather_pd(base, c2, 8);
-    acc = _mm256_fmadd_pd(join4_avx2(hi, lo, j), x, acc);
-  }
-  double t = hsum256(acc);
-  for (; j < len; ++j) {
-    const double v =
-        static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-    t += v * xy[2 * col[j] + offset];
-  }
-  s += t;
-}
-
-void dot2_u16_split_avx2(const std::uint16_t* col, const float* hi,
-                         const float* lo, index_t len, index_t base,
-                         const double* xy, int prefetch, double& s0,
-                         double& s1) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  const __m128i vbase = _mm_set1_epi32(base);
-  index_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(hi + j + prefetch);
-      __builtin_prefetch(lo + j + prefetch);
-    }
-    const __m128i raw =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(col + j));
-    const __m128i c = _mm_add_epi32(_mm_cvtepu16_epi32(raw), vbase);
-    const __m128i c2 = _mm_slli_epi32(c, 1);
-    const __m256d xe = _mm256_i32gather_pd(xy, c2, 8);
-    const __m256d xo = _mm256_i32gather_pd(xy + 1, c2, 8);
-    const __m256d v = join4_avx2(hi, lo, j);
-    acc0 = _mm256_fmadd_pd(v, xe, acc0);
-    acc1 = _mm256_fmadd_pd(v, xo, acc1);
-  }
-  double t0 = hsum256(acc0);
-  double t1 = hsum256(acc1);
-  for (; j < len; ++j) {
-    const index_t c = base + col[j];
-    const double v =
-        static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-    t0 += v * xy[2 * c];
-    t1 += v * xy[2 * c + 1];
-  }
-  s0 += t0;
-  s1 += t1;
-}
-
-void dot1_u16_split_avx2(const std::uint16_t* col, const float* hi,
-                         const float* lo, index_t len, index_t base,
-                         const double* xy, int offset, int prefetch,
-                         double& s) {
-  const double* xp = xy + offset;
-  __m256d acc = _mm256_setzero_pd();
-  const __m128i vbase = _mm_set1_epi32(base);
-  index_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(hi + j + prefetch);
-      __builtin_prefetch(lo + j + prefetch);
-    }
-    const __m128i raw =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(col + j));
-    const __m128i c = _mm_add_epi32(_mm_cvtepu16_epi32(raw), vbase);
-    const __m128i c2 = _mm_slli_epi32(c, 1);
-    const __m256d x = _mm256_i32gather_pd(xp, c2, 8);
-    acc = _mm256_fmadd_pd(join4_avx2(hi, lo, j), x, acc);
-  }
-  double t = hsum256(acc);
-  for (; j < len; ++j) {
-    const double v =
-        static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-    t += v * xy[2 * (base + col[j]) + offset];
-  }
-  s += t;
-}
-
-#pragma GCC diagnostic pop
-#pragma GCC pop_options
-
-// ---------------------------------------------------------------------
-// 3b. AVX-512 — 8 nnz / iteration, same shape as AVX2 with 512-bit
-//     gathers. avx2+fma listed explicitly so the 128/256-bit helper
-//     intrinsics in the tails are valid regardless of implication
-//     rules.
-// ---------------------------------------------------------------------
-
-#pragma GCC push_options
-#pragma GCC target("avx512f,avx2,fma")
-// Same GCC PR 105593 false positive as the AVX2 block above.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-void dot2_avx512(const index_t* col, const double* val, index_t len,
-                 const double* xy, int prefetch, double& s0, double& s1) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + j));
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d xe = _mm512_i32gather_pd(c2, xy, 8);
-    const __m512d xo = _mm512_i32gather_pd(c2, xy + 1, 8);
-    const __m512d v = _mm512_loadu_pd(val + j);
-    acc0 = _mm512_fmadd_pd(v, xe, acc0);
-    acc1 = _mm512_fmadd_pd(v, xo, acc1);
-  }
-  double t0 = _mm512_reduce_add_pd(acc0);
-  double t1 = _mm512_reduce_add_pd(acc1);
-  for (; j < len; ++j) {
-    const index_t c = col[j];
-    t0 += val[j] * xy[2 * c];
-    t1 += val[j] * xy[2 * c + 1];
-  }
-  s0 += t0;
-  s1 += t1;
-}
-
-void dot1_avx512(const index_t* col, const double* val, index_t len,
-                 const double* xy, int offset, int prefetch, double& s) {
-  const double* base = xy + offset;
-  __m512d acc = _mm512_setzero_pd();
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + j));
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d x = _mm512_i32gather_pd(c2, base, 8);
-    const __m512d v = _mm512_loadu_pd(val + j);
-    acc = _mm512_fmadd_pd(v, x, acc);
-  }
-  double t = _mm512_reduce_add_pd(acc);
-  for (; j < len; ++j) t += val[j] * xy[2 * col[j] + offset];
-  s += t;
-}
-
-void dot2_u16_avx512(const std::uint16_t* col, const double* val, index_t len,
-                     index_t base, const double* xy, int prefetch, double& s0,
-                     double& s1) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  const __m256i vbase = _mm256_set1_epi32(base);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
-    const __m256i c = _mm256_add_epi32(_mm256_cvtepu16_epi32(raw), vbase);
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d xe = _mm512_i32gather_pd(c2, xy, 8);
-    const __m512d xo = _mm512_i32gather_pd(c2, xy + 1, 8);
-    const __m512d v = _mm512_loadu_pd(val + j);
-    acc0 = _mm512_fmadd_pd(v, xe, acc0);
-    acc1 = _mm512_fmadd_pd(v, xo, acc1);
-  }
-  double t0 = _mm512_reduce_add_pd(acc0);
-  double t1 = _mm512_reduce_add_pd(acc1);
-  for (; j < len; ++j) {
-    const index_t c = base + col[j];
-    t0 += val[j] * xy[2 * c];
-    t1 += val[j] * xy[2 * c + 1];
-  }
-  s0 += t0;
-  s1 += t1;
-}
-
-void dot1_u16_avx512(const std::uint16_t* col, const double* val, index_t len,
-                     index_t base, const double* xy, int offset, int prefetch,
-                     double& s) {
-  const double* xp = xy + offset;
-  __m512d acc = _mm512_setzero_pd();
-  const __m256i vbase = _mm256_set1_epi32(base);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
-    const __m256i c = _mm256_add_epi32(_mm256_cvtepu16_epi32(raw), vbase);
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d x = _mm512_i32gather_pd(c2, xp, 8);
-    const __m512d v = _mm512_loadu_pd(val + j);
-    acc = _mm512_fmadd_pd(v, x, acc);
-  }
-  double t = _mm512_reduce_add_pd(acc);
-  for (; j < len; ++j) t += val[j] * xy[2 * (base + col[j]) + offset];
-  s += t;
-}
-
-// Reduced-precision AVX-512 variants: 8 floats load as one 256-bit
-// lane and widen with vcvtps2pd (256 -> 512); split joins hi+lo after
-// widening. Same gather shape as the fp64 kernels above.
-
-void dot2_f32_avx512(const index_t* col, const float* val, index_t len,
-                     const double* xy, int prefetch, double& s0, double& s1) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + j));
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d xe = _mm512_i32gather_pd(c2, xy, 8);
-    const __m512d xo = _mm512_i32gather_pd(c2, xy + 1, 8);
-    const __m512d v = _mm512_cvtps_pd(_mm256_loadu_ps(val + j));
-    acc0 = _mm512_fmadd_pd(v, xe, acc0);
-    acc1 = _mm512_fmadd_pd(v, xo, acc1);
-  }
-  double t0 = _mm512_reduce_add_pd(acc0);
-  double t1 = _mm512_reduce_add_pd(acc1);
-  for (; j < len; ++j) {
-    const index_t c = col[j];
-    const double v = static_cast<double>(val[j]);
-    t0 += v * xy[2 * c];
-    t1 += v * xy[2 * c + 1];
-  }
-  s0 += t0;
-  s1 += t1;
-}
-
-void dot1_f32_avx512(const index_t* col, const float* val, index_t len,
-                     const double* xy, int offset, int prefetch, double& s) {
-  const double* base = xy + offset;
-  __m512d acc = _mm512_setzero_pd();
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + j));
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d x = _mm512_i32gather_pd(c2, base, 8);
-    const __m512d v = _mm512_cvtps_pd(_mm256_loadu_ps(val + j));
-    acc = _mm512_fmadd_pd(v, x, acc);
-  }
-  double t = _mm512_reduce_add_pd(acc);
-  for (; j < len; ++j)
-    t += static_cast<double>(val[j]) * xy[2 * col[j] + offset];
-  s += t;
-}
-
-void dot2_u16_f32_avx512(const std::uint16_t* col, const float* val,
-                         index_t len, index_t base, const double* xy,
-                         int prefetch, double& s0, double& s1) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  const __m256i vbase = _mm256_set1_epi32(base);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
-    const __m256i c = _mm256_add_epi32(_mm256_cvtepu16_epi32(raw), vbase);
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d xe = _mm512_i32gather_pd(c2, xy, 8);
-    const __m512d xo = _mm512_i32gather_pd(c2, xy + 1, 8);
-    const __m512d v = _mm512_cvtps_pd(_mm256_loadu_ps(val + j));
-    acc0 = _mm512_fmadd_pd(v, xe, acc0);
-    acc1 = _mm512_fmadd_pd(v, xo, acc1);
-  }
-  double t0 = _mm512_reduce_add_pd(acc0);
-  double t1 = _mm512_reduce_add_pd(acc1);
-  for (; j < len; ++j) {
-    const index_t c = base + col[j];
-    const double v = static_cast<double>(val[j]);
-    t0 += v * xy[2 * c];
-    t1 += v * xy[2 * c + 1];
-  }
-  s0 += t0;
-  s1 += t1;
-}
-
-void dot1_u16_f32_avx512(const std::uint16_t* col, const float* val,
-                         index_t len, index_t base, const double* xy,
-                         int offset, int prefetch, double& s) {
-  const double* xp = xy + offset;
-  __m512d acc = _mm512_setzero_pd();
-  const __m256i vbase = _mm256_set1_epi32(base);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(val + j + prefetch);
-    }
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
-    const __m256i c = _mm256_add_epi32(_mm256_cvtepu16_epi32(raw), vbase);
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d x = _mm512_i32gather_pd(c2, xp, 8);
-    const __m512d v = _mm512_cvtps_pd(_mm256_loadu_ps(val + j));
-    acc = _mm512_fmadd_pd(v, x, acc);
-  }
-  double t = _mm512_reduce_add_pd(acc);
-  for (; j < len; ++j)
-    t += static_cast<double>(val[j]) * xy[2 * (base + col[j]) + offset];
-  s += t;
-}
-
-/// Widen + join 8 split pairs (both steps exact).
-inline __m512d join8_avx512(const float* hi, const float* lo, index_t j) {
-  return _mm512_add_pd(_mm512_cvtps_pd(_mm256_loadu_ps(hi + j)),
-                       _mm512_cvtps_pd(_mm256_loadu_ps(lo + j)));
-}
-
-void dot2_split_avx512(const index_t* col, const float* hi, const float* lo,
-                       index_t len, const double* xy, int prefetch,
-                       double& s0, double& s1) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(hi + j + prefetch);
-      __builtin_prefetch(lo + j + prefetch);
-    }
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + j));
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d xe = _mm512_i32gather_pd(c2, xy, 8);
-    const __m512d xo = _mm512_i32gather_pd(c2, xy + 1, 8);
-    const __m512d v = join8_avx512(hi, lo, j);
-    acc0 = _mm512_fmadd_pd(v, xe, acc0);
-    acc1 = _mm512_fmadd_pd(v, xo, acc1);
-  }
-  double t0 = _mm512_reduce_add_pd(acc0);
-  double t1 = _mm512_reduce_add_pd(acc1);
-  for (; j < len; ++j) {
-    const index_t c = col[j];
-    const double v =
-        static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-    t0 += v * xy[2 * c];
-    t1 += v * xy[2 * c + 1];
-  }
-  s0 += t0;
-  s1 += t1;
-}
-
-void dot1_split_avx512(const index_t* col, const float* hi, const float* lo,
-                       index_t len, const double* xy, int offset,
-                       int prefetch, double& s) {
-  const double* base = xy + offset;
-  __m512d acc = _mm512_setzero_pd();
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(hi + j + prefetch);
-      __builtin_prefetch(lo + j + prefetch);
-    }
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + j));
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d x = _mm512_i32gather_pd(c2, base, 8);
-    acc = _mm512_fmadd_pd(join8_avx512(hi, lo, j), x, acc);
-  }
-  double t = _mm512_reduce_add_pd(acc);
-  for (; j < len; ++j) {
-    const double v =
-        static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-    t += v * xy[2 * col[j] + offset];
-  }
-  s += t;
-}
-
-void dot2_u16_split_avx512(const std::uint16_t* col, const float* hi,
-                           const float* lo, index_t len, index_t base,
-                           const double* xy, int prefetch, double& s0,
-                           double& s1) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  const __m256i vbase = _mm256_set1_epi32(base);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(hi + j + prefetch);
-      __builtin_prefetch(lo + j + prefetch);
-    }
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
-    const __m256i c = _mm256_add_epi32(_mm256_cvtepu16_epi32(raw), vbase);
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d xe = _mm512_i32gather_pd(c2, xy, 8);
-    const __m512d xo = _mm512_i32gather_pd(c2, xy + 1, 8);
-    const __m512d v = join8_avx512(hi, lo, j);
-    acc0 = _mm512_fmadd_pd(v, xe, acc0);
-    acc1 = _mm512_fmadd_pd(v, xo, acc1);
-  }
-  double t0 = _mm512_reduce_add_pd(acc0);
-  double t1 = _mm512_reduce_add_pd(acc1);
-  for (; j < len; ++j) {
-    const index_t c = base + col[j];
-    const double v =
-        static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-    t0 += v * xy[2 * c];
-    t1 += v * xy[2 * c + 1];
-  }
-  s0 += t0;
-  s1 += t1;
-}
-
-void dot1_u16_split_avx512(const std::uint16_t* col, const float* hi,
-                           const float* lo, index_t len, index_t base,
-                           const double* xy, int offset, int prefetch,
-                           double& s) {
-  const double* xp = xy + offset;
-  __m512d acc = _mm512_setzero_pd();
-  const __m256i vbase = _mm256_set1_epi32(base);
-  index_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    if (prefetch > 0) {
-      __builtin_prefetch(col + j + prefetch);
-      __builtin_prefetch(hi + j + prefetch);
-      __builtin_prefetch(lo + j + prefetch);
-    }
-    const __m128i raw =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j));
-    const __m256i c = _mm256_add_epi32(_mm256_cvtepu16_epi32(raw), vbase);
-    const __m256i c2 = _mm256_slli_epi32(c, 1);
-    const __m512d x = _mm512_i32gather_pd(c2, xp, 8);
-    acc = _mm512_fmadd_pd(join8_avx512(hi, lo, j), x, acc);
-  }
-  double t = _mm512_reduce_add_pd(acc);
-  for (; j < len; ++j) {
-    const double v =
-        static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-    t += v * xy[2 * (base + col[j]) + offset];
-  }
-  s += t;
-}
-
 #pragma GCC diagnostic pop
 #pragma GCC pop_options
 
 #endif  // FBMPK_X86
 
 constexpr RowOps kScalarOps{
-    dot2_scalar,          dot1_scalar,          dot2_u16_scalar,
-    dot1_u16_scalar,      dot2_f32_scalar,      dot1_f32_scalar,
-    dot2_u16_f32_scalar,  dot1_u16_f32_scalar,  dot2_split_scalar,
-    dot1_split_scalar,    dot2_u16_split_scalar, dot1_u16_split_scalar};
-constexpr RowOps kGenericOps{
-    dot2_generic,         dot1_generic,         dot2_u16_generic,
-    dot1_u16_generic,     dot2_f32_generic,     dot1_f32_generic,
-    dot2_u16_f32_generic, dot1_u16_f32_generic, dot2_split_generic,
-    dot1_split_generic,   dot2_u16_split_generic, dot1_u16_split_generic};
+    dot2_scalar,         dot1_scalar,         dot2_u16_scalar,
+    dot1_u16_scalar,     dot2_f32_scalar,     dot1_f32_scalar,
+    dot2_u16_f32_scalar, dot1_u16_f32_scalar};
 #if FBMPK_X86
 constexpr RowOps kAvx2Ops{
-    dot2_avx2,            dot1_avx2,            dot2_u16_avx2,
-    dot1_u16_avx2,        dot2_f32_avx2,        dot1_f32_avx2,
-    dot2_u16_f32_avx2,    dot1_u16_f32_avx2,    dot2_split_avx2,
-    dot1_split_avx2,      dot2_u16_split_avx2,  dot1_u16_split_avx2};
-constexpr RowOps kAvx512Ops{
-    dot2_avx512,          dot1_avx512,          dot2_u16_avx512,
-    dot1_u16_avx512,      dot2_f32_avx512,      dot1_f32_avx512,
-    dot2_u16_f32_avx512,  dot1_u16_f32_avx512,  dot2_split_avx512,
-    dot1_split_avx512,    dot2_u16_split_avx512, dot1_u16_split_avx512};
+    dot2_avx2,         dot1_avx2,         dot2_u16_avx2,
+    dot1_u16_avx2,     dot2_f32_avx2,     dot1_f32_avx2,
+    dot2_u16_f32_avx2, dot1_u16_f32_avx2};
 #endif
 
-KernelBackend probe_widest() {
+bool cpu_has_avx2() {
 #if FBMPK_X86
-  if (__builtin_cpu_supports("avx512f")) return KernelBackend::kAvx512;
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
-    return KernelBackend::kAvx2;
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
 #endif
-  return KernelBackend::kGeneric;
 }
 
 }  // namespace
@@ -1288,20 +482,9 @@ bool backend_available(KernelBackend backend) {
   switch (backend) {
     case KernelBackend::kAuto:
     case KernelBackend::kScalar:
-    case KernelBackend::kGeneric:
       return true;
     case KernelBackend::kAvx2:
-#if FBMPK_X86
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-      return false;
-#endif
-    case KernelBackend::kAvx512:
-#if FBMPK_X86
-      return __builtin_cpu_supports("avx512f");
-#else
-      return false;
-#endif
+      return cpu_has_avx2();
   }
   return false;
 }
@@ -1318,7 +501,7 @@ KernelBackend resolve_backend(KernelBackend backend) {
         // rather than failing every kernel launch.
       }
     }
-    return probe_widest();
+    return cpu_has_avx2() ? KernelBackend::kAvx2 : KernelBackend::kScalar;
   }();
   return picked;
 }
@@ -1328,22 +511,10 @@ const RowOps& row_kernels(KernelBackend backend) {
   FBMPK_CHECK_CODE(backend_available(b), ErrorCode::kUnsupported,
                    "kernel backend " << backend_name(b)
                                      << " not supported on this CPU");
-  switch (b) {
-    case KernelBackend::kScalar:
-      return kScalarOps;
-    case KernelBackend::kGeneric:
-      return kGenericOps;
 #if FBMPK_X86
-    case KernelBackend::kAvx2:
-      return kAvx2Ops;
-    case KernelBackend::kAvx512:
-      return kAvx512Ops;
+  if (b == KernelBackend::kAvx2) return kAvx2Ops;
 #endif
-    default:
-      break;
-  }
-  FBMPK_FAIL(ErrorCode::kUnsupported,
-             "kernel backend " << backend_name(b) << " not compiled in");
+  return kScalarOps;
 }
 
 namespace detail {
@@ -1370,12 +541,8 @@ const char* backend_name(KernelBackend backend) {
       return "auto";
     case KernelBackend::kScalar:
       return "scalar";
-    case KernelBackend::kGeneric:
-      return "generic";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -1383,12 +550,10 @@ const char* backend_name(KernelBackend backend) {
 KernelBackend parse_backend(const std::string& name) {
   if (name == "auto") return KernelBackend::kAuto;
   if (name == "scalar") return KernelBackend::kScalar;
-  if (name == "generic") return KernelBackend::kGeneric;
   if (name == "avx2") return KernelBackend::kAvx2;
-  if (name == "avx512") return KernelBackend::kAvx512;
   FBMPK_FAIL(ErrorCode::kUnsupported,
-             "unknown kernel backend '"
-                 << name << "' (want auto|scalar|generic|avx2|avx512)");
+             "unknown kernel backend '" << name
+                                        << "' (want auto|scalar|avx2)");
 }
 
 }  // namespace fbmpk

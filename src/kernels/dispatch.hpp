@@ -4,7 +4,7 @@
 //  - exact:  the scalar helpers in fb_detail.hpp — fixed operation
 //            order, bitwise identical serial <-> parallel. Default.
 //  - fast:   vectorized variants that reassociate the dot products
-//            (AVX2 / AVX-512 gathers over the BtB iterate pair) and
+//            (AVX2 gathers over the BtB iterate pair) and
 //            software-prefetch the col/val streams. Error vs exact is
 //            bounded by standard summation analysis: each row dot of
 //            length m reassociated into lanes differs by <= m·eps·
@@ -12,17 +12,17 @@
 //            relative (asserted in tests/test_fb_simd.cpp).
 //
 // The backend is chosen once per process from CPUID (resolve_backend);
-// every implementation is compile-time guarded so the same binary runs
-// on machines without the wider ISA. `FBMPK_BACKEND=<name>` in the
+// the AVX2 implementation is compile-time guarded so the same binary
+// runs on machines without it. `FBMPK_BACKEND=<name>` in the
 // environment overrides the probe — CI uses it to force the portable
-// generic path on AVX hardware.
+// scalar path on AVX hardware.
 //
 // All accumulation is double: the fast layer is a perf feature for the
 // paper's double-precision benchmarks, and the scalar exact path
-// remains the only one instantiated for other types. PR 4 adds
-// reduced-precision *storage* variants (fp32 and split hi/lo value
-// streams, widened per element) — see ValuePrecision in
-// sparse/packed_tri.hpp and the error-bound notes in docs/KERNELS.md.
+// remains the only one instantiated for other types. Reduced-precision
+// *storage* (an fp32 value stream widened per element) is described by
+// ValuePrecision in sparse/packed_tri.hpp and the error-bound notes in
+// docs/KERNELS.md.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +36,7 @@ namespace fbmpk {
 enum class KernelBackend : std::uint8_t {
   kAuto = 0,    ///< resolve once from CPUID at first use
   kScalar = 1,  ///< fb_detail helpers — exact, bitwise reference
-  kGeneric = 2, ///< portable scalar fast path (prefetch, same order)
-  kAvx2 = 3,    ///< 256-bit FMA + gathers (4 nnz / iteration)
-  kAvx512 = 4,  ///< 512-bit FMA + gathers (8 nnz / iteration)
+  kAvx2 = 2,    ///< 256-bit FMA + gathers (4 nnz / iteration)
 };
 
 /// Row-dot implementations a backend provides. `col/val` point at the
@@ -62,10 +60,10 @@ struct RowOps {
 
   // --- reduced-precision value streams (PR 4) ------------------------
   // Values are stored narrow and widened to double before every FMA;
-  // accumulation is always fp64. The vector backends widen with
-  // vcvtps2pd; the scalar/generic twins keep the exact accumulation
-  // order so the *shape* of the rounding error is the value encoding
-  // alone, never the summation.
+  // accumulation is always fp64. The AVX2 backend widens with
+  // vcvtps2pd; the scalar twins keep the exact accumulation order so
+  // the *shape* of the rounding error is the value encoding alone,
+  // never the summation.
 
   /// fp32 value stream: val[j] is widened per element.
   void (*dot2_btb_f32)(const index_t* col, const float* val, index_t len,
@@ -78,28 +76,11 @@ struct RowOps {
   void (*dot1_btb_u16_f32)(const std::uint16_t* col, const float* val,
                            index_t len, index_t base, const double* xy,
                            int offset, int prefetch, double& s);
-
-  /// Split hi/lo stream: the value is hi[j] + lo[j] (exact in fp64 —
-  /// both widen losslessly, and the sum of two floats fits a double).
-  void (*dot2_btb_split)(const index_t* col, const float* hi, const float* lo,
-                         index_t len, const double* xy, int prefetch,
-                         double& s0, double& s1);
-  void (*dot1_btb_split)(const index_t* col, const float* hi, const float* lo,
-                         index_t len, const double* xy, int offset,
-                         int prefetch, double& s);
-  void (*dot2_btb_u16_split)(const std::uint16_t* col, const float* hi,
-                             const float* lo, index_t len, index_t base,
-                             const double* xy, int prefetch, double& s0,
-                             double& s1);
-  void (*dot1_btb_u16_split)(const std::uint16_t* col, const float* hi,
-                             const float* lo, index_t len, index_t base,
-                             const double* xy, int offset, int prefetch,
-                             double& s);
 };
 
 /// Widest batched-lane chunk the multi-vector sweeps instantiate.
-/// Larger request batches are chunked greedily over {16, 8, 4, 2, 1}.
-inline constexpr index_t kMaxBatch = 16;
+/// Larger request batches are chunked greedily over {8, 4, 2, 1}.
+inline constexpr index_t kMaxBatch = 8;
 
 /// Batched (multi right-hand-side) row-dot table. Mirrors RowOps entry
 /// for entry, but the iterate array is the xy[2·B·n] vector-major
@@ -146,23 +127,6 @@ struct BatchRowOps {
                                index_t len, index_t base, const double* xy,
                                index_t nvec, int offset, int prefetch,
                                double* s);
-
-  void (*dot2_btb_split_bat)(const index_t* col, const float* hi,
-                             const float* lo, index_t len, const double* xy,
-                             index_t nvec, int prefetch, double* s0,
-                             double* s1);
-  void (*dot1_btb_split_bat)(const index_t* col, const float* hi,
-                             const float* lo, index_t len, const double* xy,
-                             index_t nvec, int offset, int prefetch,
-                             double* s);
-  void (*dot2_btb_u16_split_bat)(const std::uint16_t* col, const float* hi,
-                                 const float* lo, index_t len, index_t base,
-                                 const double* xy, index_t nvec, int prefetch,
-                                 double* s0, double* s1);
-  void (*dot1_btb_u16_split_bat)(const std::uint16_t* col, const float* hi,
-                                 const float* lo, index_t len, index_t base,
-                                 const double* xy, index_t nvec, int offset,
-                                 int prefetch, double* s);
 };
 
 /// Kernel table for a concrete backend (kAuto is resolved first).
@@ -174,16 +138,17 @@ const RowOps& row_kernels(KernelBackend backend);
 /// lane-vectorized table (see BatchRowOps contract above).
 const BatchRowOps& batch_row_kernels(KernelBackend backend);
 
-/// Resolve kAuto to the widest backend this CPU supports (cached after
-/// the first call). Honors the FBMPK_BACKEND environment override when
-/// it names an available backend. Non-auto inputs pass through.
+/// Resolve kAuto to kAvx2 when the CPU has AVX2 and FMA, else kScalar
+/// (cached after the first call). Honors the FBMPK_BACKEND environment
+/// override when it names an available backend. Non-auto inputs pass
+/// through.
 KernelBackend resolve_backend(KernelBackend backend);
 
 /// True iff the backend was compiled in AND the CPU supports it.
-/// kScalar/kGeneric/kAuto are always available.
+/// kScalar/kAuto are always available.
 bool backend_available(KernelBackend backend);
 
-/// "auto" / "scalar" / "generic" / "avx2" / "avx512".
+/// "auto" / "scalar" / "avx2".
 const char* backend_name(KernelBackend backend);
 
 /// Inverse of backend_name; throws kUnsupported on unknown names.

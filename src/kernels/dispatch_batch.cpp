@@ -20,7 +20,7 @@
 namespace fbmpk {
 namespace {
 
-// Column / value accessors: the six RowOps flavours collapse into one
+// Column / value accessors: the four RowOps flavours collapse into one
 // core template per dot shape.
 struct ColPlain {
   const index_t* c;
@@ -41,16 +41,6 @@ struct ValF32 {
   const float* v;
   double operator()(index_t j) const { return static_cast<double>(v[j]); }
 };
-struct ValSplit {
-  const float* hi;
-  const float* lo;
-  // Exact: both halves widen losslessly and their sum fits a double,
-  // matching the scalar split twins' per-element decode.
-  double operator()(index_t j) const {
-    return static_cast<double>(hi[j]) + static_cast<double>(lo[j]);
-  }
-};
-
 // B > 0: compile-time lane count (the common case — nv constant-folds
 // and the lane loops fully vectorize). B == 0: runtime nvec fallback
 // for odd widths.
@@ -58,11 +48,11 @@ template <int B, class Col, class Val>
 inline void dot2_core(Col col, Val val, index_t len, const double* xy,
                       index_t nvec, int prefetch, double* s0, double* s1) {
   const index_t nv = B > 0 ? static_cast<index_t>(B) : nvec;
-  // Size the partials by the compile-time width: at kMaxBatch the
-  // eight arrays are 1 KiB of stack, past the compiler's
-  // scalar-replacement limit, and every accumulation round-trips
-  // through memory. At exactly B they live in registers for the
-  // common widths. Same operations in the same order either way.
+  // Size the partials by the compile-time width, not kMaxBatch: at
+  // exactly B they live in registers for the common widths, while
+  // oversized arrays can defeat the compiler's scalar replacement and
+  // make every accumulation round-trip through memory. Same operations
+  // in the same order either way.
   constexpr int kW = B > 0 ? B : kMaxBatch;
   double a0[kW]{}, a1[kW]{}, b0[kW]{}, b1[kW]{}, c0[kW]{}, c1[kW]{},
       d0[kW]{}, d1[kW]{};
@@ -139,7 +129,6 @@ inline void dot2_any(Col col, Val val, index_t len, const double* xy,
     case 2: dot2_core<2>(col, val, len, xy, nvec, prefetch, s0, s1); return;
     case 4: dot2_core<4>(col, val, len, xy, nvec, prefetch, s0, s1); return;
     case 8: dot2_core<8>(col, val, len, xy, nvec, prefetch, s0, s1); return;
-    case 16: dot2_core<16>(col, val, len, xy, nvec, prefetch, s0, s1); return;
     default: dot2_core<0>(col, val, len, xy, nvec, prefetch, s0, s1); return;
   }
 }
@@ -152,16 +141,13 @@ inline void dot1_any(Col col, Val val, index_t len, const double* xy,
     case 2: dot1_core<2>(col, val, len, xy, nvec, offset, prefetch, s); return;
     case 4: dot1_core<4>(col, val, len, xy, nvec, offset, prefetch, s); return;
     case 8: dot1_core<8>(col, val, len, xy, nvec, offset, prefetch, s); return;
-    case 16:
-      dot1_core<16>(col, val, len, xy, nvec, offset, prefetch, s);
-      return;
     default:
       dot1_core<0>(col, val, len, xy, nvec, offset, prefetch, s);
       return;
   }
 }
 
-// --- the twelve table entries ---------------------------------------------
+// --- the eight table entries ---------------------------------------------
 
 void bat_dot2(const index_t* col, const double* val, index_t len,
               const double* xy, index_t nvec, int prefetch, double* s0,
@@ -205,41 +191,13 @@ void bat_dot1_u16_f32(const std::uint16_t* col, const float* val, index_t len,
   dot1_any(ColU16{col, base}, ValF32{val}, len, xy, nvec, offset, prefetch,
            s);
 }
-void bat_dot2_split(const index_t* col, const float* hi, const float* lo,
-                    index_t len, const double* xy, index_t nvec, int prefetch,
-                    double* s0, double* s1) {
-  dot2_any(ColPlain{col}, ValSplit{hi, lo}, len, xy, nvec, prefetch, s0, s1);
-}
-void bat_dot1_split(const index_t* col, const float* hi, const float* lo,
-                    index_t len, const double* xy, index_t nvec, int offset,
-                    int prefetch, double* s) {
-  dot1_any(ColPlain{col}, ValSplit{hi, lo}, len, xy, nvec, offset, prefetch,
-           s);
-}
-void bat_dot2_u16_split(const std::uint16_t* col, const float* hi,
-                        const float* lo, index_t len, index_t base,
-                        const double* xy, index_t nvec, int prefetch,
-                        double* s0, double* s1) {
-  dot2_any(ColU16{col, base}, ValSplit{hi, lo}, len, xy, nvec, prefetch, s0,
-           s1);
-}
-void bat_dot1_u16_split(const std::uint16_t* col, const float* hi,
-                        const float* lo, index_t len, index_t base,
-                        const double* xy, index_t nvec, int offset,
-                        int prefetch, double* s) {
-  dot1_any(ColU16{col, base}, ValSplit{hi, lo}, len, xy, nvec, offset,
-           prefetch, s);
-}
-
 }  // namespace
 
 namespace detail {
 const BatchRowOps& portable_batch_ops() {
   static constexpr BatchRowOps ops = {
-      bat_dot2,           bat_dot1,           bat_dot2_u16,
-      bat_dot1_u16,       bat_dot2_f32,       bat_dot1_f32,
-      bat_dot2_u16_f32,   bat_dot1_u16_f32,   bat_dot2_split,
-      bat_dot1_split,     bat_dot2_u16_split, bat_dot1_u16_split,
+      bat_dot2,     bat_dot1,     bat_dot2_u16,     bat_dot1_u16,
+      bat_dot2_f32, bat_dot1_f32, bat_dot2_u16_f32, bat_dot1_u16_f32,
   };
   return ops;
 }

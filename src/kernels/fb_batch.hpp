@@ -12,8 +12,8 @@
 //                          bitwise identical to the B=1 exact sweep.
 //  - BatchDispatchRows<B>: fast/packed — routes through BatchRowOps
 //                          (kernels/dispatch.hpp), covering compressed
-//                          u16 indices and the fp32 / split hi+lo value
-//                          streams. Also exact per lane: the portable
+//                          u16 indices and the fp32 value stream.
+//                          Also exact per lane: the portable
 //                          batch table keeps the scalar accumulation
 //                          order in every lane (see dispatch.hpp).
 //
@@ -111,8 +111,6 @@ struct BatchTriRowKernel {
   const BatchRowOps* ops = nullptr;
   int prefetch = 0;
   const float* v32 = nullptr;
-  const float* vhi = nullptr;
-  const float* vlo = nullptr;
 
   void dot2(index_t i, const double* xy, double* s0, double* s1) const {
     const index_t lo = rp[i];
@@ -121,9 +119,6 @@ struct BatchTriRowKernel {
       if (v32 != nullptr)
         ops->dot2_btb_f32_bat(ci + lo, v32 + lo, len, xy, B, prefetch, s0,
                               s1);
-      else if (vhi != nullptr)
-        ops->dot2_btb_split_bat(ci + lo, vhi + lo, vlo + lo, len, xy, B,
-                                prefetch, s0, s1);
       else
         ops->dot2_btb_bat(ci + lo, va + lo, len, xy, B, prefetch, s0, s1);
       return;
@@ -133,18 +128,12 @@ struct BatchTriRowKernel {
       if (v32 != nullptr)
         ops->dot2_btb_u16_f32_bat(v.c16, v32 + lo, len, v.base, xy, B,
                                   prefetch, s0, s1);
-      else if (vhi != nullptr)
-        ops->dot2_btb_u16_split_bat(v.c16, vhi + lo, vlo + lo, len, v.base,
-                                    xy, B, prefetch, s0, s1);
       else
         ops->dot2_btb_u16_bat(v.c16, va + lo, len, v.base, xy, B, prefetch,
                               s0, s1);
     } else {
       if (v32 != nullptr)
         ops->dot2_btb_f32_bat(v.c32, v32 + lo, len, xy, B, prefetch, s0, s1);
-      else if (vhi != nullptr)
-        ops->dot2_btb_split_bat(v.c32, vhi + lo, vlo + lo, len, xy, B,
-                                prefetch, s0, s1);
       else
         ops->dot2_btb_bat(v.c32, va + lo, len, xy, B, prefetch, s0, s1);
     }
@@ -157,9 +146,6 @@ struct BatchTriRowKernel {
       if (v32 != nullptr)
         ops->dot1_btb_f32_bat(ci + lo, v32 + lo, len, xy, B, offset, prefetch,
                               s);
-      else if (vhi != nullptr)
-        ops->dot1_btb_split_bat(ci + lo, vhi + lo, vlo + lo, len, xy, B,
-                                offset, prefetch, s);
       else
         ops->dot1_btb_bat(ci + lo, va + lo, len, xy, B, offset, prefetch, s);
       return;
@@ -169,9 +155,6 @@ struct BatchTriRowKernel {
       if (v32 != nullptr)
         ops->dot1_btb_u16_f32_bat(v.c16, v32 + lo, len, v.base, xy, B, offset,
                                   prefetch, s);
-      else if (vhi != nullptr)
-        ops->dot1_btb_u16_split_bat(v.c16, vhi + lo, vlo + lo, len, v.base,
-                                    xy, B, offset, prefetch, s);
       else
         ops->dot1_btb_u16_bat(v.c16, va + lo, len, v.base, xy, B, offset,
                               prefetch, s);
@@ -179,19 +162,13 @@ struct BatchTriRowKernel {
       if (v32 != nullptr)
         ops->dot1_btb_f32_bat(v.c32, v32 + lo, len, xy, B, offset, prefetch,
                               s);
-      else if (vhi != nullptr)
-        ops->dot1_btb_split_bat(v.c32, vhi + lo, vlo + lo, len, xy, B, offset,
-                                prefetch, s);
       else
         ops->dot1_btb_bat(v.c32, va + lo, len, xy, B, offset, prefetch, s);
     }
   }
 
   double value_at(index_t q) const {
-    if (v32 != nullptr) return static_cast<double>(v32[q]);
-    if (vhi != nullptr)
-      return static_cast<double>(vhi[q]) + static_cast<double>(vlo[q]);
-    return va[q];
+    return v32 != nullptr ? static_cast<double>(v32[q]) : va[q];
   }
 
   void warm(index_t i, double& acc) const {
@@ -221,8 +198,6 @@ struct BatchDispatchRows {
   BatchTriRowKernel<B> u;
   const double* d64 = nullptr;
   const float* d32 = nullptr;
-  const float* dhi = nullptr;
-  const float* dlo = nullptr;
 
   static const double* raw(const P* xy) {
     return reinterpret_cast<const double*>(xy);
@@ -241,10 +216,7 @@ struct BatchDispatchRows {
     u.dot1(i, raw(xy), offset, s.v);
   }
   double diag(index_t i) const {
-    if (d32 != nullptr) return static_cast<double>(d32[i]);
-    if (dhi != nullptr)
-      return static_cast<double>(dhi[i]) + static_cast<double>(dlo[i]);
-    return d64[i];
+    return d32 != nullptr ? static_cast<double>(d32[i]) : d64[i];
   }
   void warm(index_t i, double& acc) const {
     l.warm(i, acc);
@@ -269,20 +241,10 @@ BatchDispatchRows<B> make_batch_dispatch_rows(const TriangularSplit<double>& s,
          packed != nullptr ? &packed->upper : nullptr, &ops, prefetch};
   r.d64 = s.diag.data();
   if (values != nullptr && !values->empty()) {
-    if (values->precision == ValuePrecision::kFp32) {
-      r.l.v32 = values->lower.f32();
-      r.u.v32 = values->upper.f32();
-      r.d64 = nullptr;
-      r.d32 = values->diag.f32();
-    } else {
-      r.l.vhi = values->lower.hi();
-      r.l.vlo = values->lower.lo();
-      r.u.vhi = values->upper.hi();
-      r.u.vlo = values->upper.lo();
-      r.d64 = nullptr;
-      r.dhi = values->diag.hi();
-      r.dlo = values->diag.lo();
-    }
+    r.l.v32 = values->lower.f32();
+    r.u.v32 = values->upper.f32();
+    r.d64 = nullptr;
+    r.d32 = values->diag.f32();
   }
   return r;
 }

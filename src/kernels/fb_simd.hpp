@@ -18,10 +18,10 @@
 //
 // Accumulation is double-only (the dispatch tables accumulate fp64)
 // and fast mode covers the BtB variant only — the split-vector
-// ablation stays scalar. PR 4 adds reduced-precision *storage*: when
-// the plan carries a PackedSplitValues sidecar (fp32 or split hi/lo),
-// the row kernels read the narrow stream and widen per element; the
-// diagonal follows the same precision through Rows::diag(i).
+// ablation stays scalar. Reduced-precision *storage*: when the plan
+// carries a PackedSplitValues sidecar (fp32), the row kernels read the
+// narrow stream and widen per element; the diagonal follows the same
+// precision through Rows::diag(i).
 #pragma once
 
 #include <span>
@@ -44,11 +44,9 @@ struct TriRowKernel {
   const PackedTriangleIndex* packed = nullptr;  ///< null = plain CSR
   const RowOps* ops = nullptr;
   int prefetch = 0;
-  // Reduced-precision value streams (at most one active; both null =
-  // read the fp64 CSR values). Set via make_dispatch_rows.
-  const float* v32 = nullptr;  ///< kFp32 stream
-  const float* vhi = nullptr;  ///< kSplit hi
-  const float* vlo = nullptr;  ///< kSplit lo
+  // Reduced-precision value stream (null = read the fp64 CSR values).
+  // Set via make_dispatch_rows.
+  const float* v32 = nullptr;
 
   void dot2(index_t i, const double* xy, double& s0, double& s1) const {
     const index_t lo = rp[i];
@@ -56,9 +54,6 @@ struct TriRowKernel {
     if (packed == nullptr) {
       if (v32 != nullptr)
         ops->dot2_btb_f32(ci + lo, v32 + lo, len, xy, prefetch, s0, s1);
-      else if (vhi != nullptr)
-        ops->dot2_btb_split(ci + lo, vhi + lo, vlo + lo, len, xy, prefetch,
-                            s0, s1);
       else
         ops->dot2_btb(ci + lo, va + lo, len, xy, prefetch, s0, s1);
       return;
@@ -68,17 +63,11 @@ struct TriRowKernel {
       if (v32 != nullptr)
         ops->dot2_btb_u16_f32(v.c16, v32 + lo, len, v.base, xy, prefetch, s0,
                               s1);
-      else if (vhi != nullptr)
-        ops->dot2_btb_u16_split(v.c16, vhi + lo, vlo + lo, len, v.base, xy,
-                                prefetch, s0, s1);
       else
         ops->dot2_btb_u16(v.c16, va + lo, len, v.base, xy, prefetch, s0, s1);
     } else {
       if (v32 != nullptr)
         ops->dot2_btb_f32(v.c32, v32 + lo, len, xy, prefetch, s0, s1);
-      else if (vhi != nullptr)
-        ops->dot2_btb_split(v.c32, vhi + lo, vlo + lo, len, xy, prefetch, s0,
-                            s1);
       else
         ops->dot2_btb(v.c32, va + lo, len, xy, prefetch, s0, s1);
     }
@@ -90,9 +79,6 @@ struct TriRowKernel {
     if (packed == nullptr) {
       if (v32 != nullptr)
         ops->dot1_btb_f32(ci + lo, v32 + lo, len, xy, offset, prefetch, s);
-      else if (vhi != nullptr)
-        ops->dot1_btb_split(ci + lo, vhi + lo, vlo + lo, len, xy, offset,
-                            prefetch, s);
       else
         ops->dot1_btb(ci + lo, va + lo, len, xy, offset, prefetch, s);
       return;
@@ -102,18 +88,12 @@ struct TriRowKernel {
       if (v32 != nullptr)
         ops->dot1_btb_u16_f32(v.c16, v32 + lo, len, v.base, xy, offset,
                               prefetch, s);
-      else if (vhi != nullptr)
-        ops->dot1_btb_u16_split(v.c16, vhi + lo, vlo + lo, len, v.base, xy,
-                                offset, prefetch, s);
       else
         ops->dot1_btb_u16(v.c16, va + lo, len, v.base, xy, offset, prefetch,
                           s);
     } else {
       if (v32 != nullptr)
         ops->dot1_btb_f32(v.c32, v32 + lo, len, xy, offset, prefetch, s);
-      else if (vhi != nullptr)
-        ops->dot1_btb_split(v.c32, vhi + lo, vlo + lo, len, xy, offset,
-                            prefetch, s);
       else
         ops->dot1_btb(v.c32, va + lo, len, xy, offset, prefetch, s);
     }
@@ -121,10 +101,7 @@ struct TriRowKernel {
 
   /// Value of nonzero q as the sweep will read it (for the warm pass).
   double value_at(index_t q) const {
-    if (v32 != nullptr) return static_cast<double>(v32[q]);
-    if (vhi != nullptr)
-      return static_cast<double>(vhi[q]) + static_cast<double>(vlo[q]);
-    return va[q];
+    return v32 != nullptr ? static_cast<double>(v32[q]) : va[q];
   }
 
   /// Stream row i's index/value data into `acc` (engine NUMA warm pass).
@@ -152,11 +129,9 @@ struct DispatchRows {
   TriRowKernel l;
   TriRowKernel u;
   // Diagonal stream at the plan's value precision (exactly one of d64
-  // / d32 / (dhi,dlo) is active).
+  // and d32 is active).
   const double* d64 = nullptr;
   const float* d32 = nullptr;
-  const float* dhi = nullptr;
-  const float* dlo = nullptr;
 
   void l_dot2(index_t i, const double* xy, double& s0, double& s1) const {
     l.dot2(i, xy, s0, s1);
@@ -172,10 +147,7 @@ struct DispatchRows {
   }
   /// Diagonal entry i, widened to double from the stored precision.
   double diag(index_t i) const {
-    if (d32 != nullptr) return static_cast<double>(d32[i]);
-    if (dhi != nullptr)
-      return static_cast<double>(dhi[i]) + static_cast<double>(dlo[i]);
-    return d64[i];
+    return d32 != nullptr ? static_cast<double>(d32[i]) : d64[i];
   }
   void warm(index_t i, double& acc) const {
     l.warm(i, acc);
@@ -200,20 +172,10 @@ inline DispatchRows make_dispatch_rows(const TriangularSplit<double>& s,
          packed != nullptr ? &packed->upper : nullptr, &ops, prefetch};
   r.d64 = s.diag.data();
   if (values != nullptr && !values->empty()) {
-    if (values->precision == ValuePrecision::kFp32) {
-      r.l.v32 = values->lower.f32();
-      r.u.v32 = values->upper.f32();
-      r.d64 = nullptr;
-      r.d32 = values->diag.f32();
-    } else {
-      r.l.vhi = values->lower.hi();
-      r.l.vlo = values->lower.lo();
-      r.u.vhi = values->upper.hi();
-      r.u.vlo = values->upper.lo();
-      r.d64 = nullptr;
-      r.dhi = values->diag.hi();
-      r.dlo = values->diag.lo();
-    }
+    r.l.v32 = values->lower.f32();
+    r.u.v32 = values->upper.f32();
+    r.d64 = nullptr;
+    r.d32 = values->diag.f32();
   }
   return r;
 }

@@ -190,8 +190,6 @@ const char* precision_name(ValuePrecision p) {
       return "fp64";
     case ValuePrecision::kFp32:
       return "fp32";
-    case ValuePrecision::kSplit:
-      return "split";
   }
   return "unknown";
 }
@@ -199,10 +197,8 @@ const char* precision_name(ValuePrecision p) {
 ValuePrecision parse_precision(const std::string& name) {
   if (name == "fp64") return ValuePrecision::kFp64;
   if (name == "fp32") return ValuePrecision::kFp32;
-  if (name == "split") return ValuePrecision::kSplit;
-  FBMPK_FAIL(ErrorCode::kUnsupported, "unknown value precision '"
-                                          << name
-                                          << "' (want fp64|fp32|split)");
+  FBMPK_FAIL(ErrorCode::kUnsupported,
+             "unknown value precision '" << name << "' (want fp64|fp32)");
 }
 
 bool values_fit_fp32(std::span<const double> values) {
@@ -220,44 +216,27 @@ PackedTriangleValues PackedTriangleValues::build(
   out.count_ = values.size();
   if (p == ValuePrecision::kFp64) return out;
 
-  if (p == ValuePrecision::kFp32) {
-    out.f32_.resize(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      out.f32_[i] = static_cast<float>(values[i]);
-      if (static_cast<double>(out.f32_[i]) != values[i])
-        out.lossless_ = false;
-    }
-    return out;
-  }
-
-  out.hi_.resize(values.size());
-  out.lo_.resize(values.size());
+  out.f32_.resize(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    split_value(values[i], out.hi_[i], out.lo_[i]);
-    if (join_split(out.hi_[i], out.lo_[i]) != values[i])
-      out.lossless_ = false;
+    out.f32_[i] = static_cast<float>(values[i]);
+    if (static_cast<double>(out.f32_[i]) != values[i]) out.lossless_ = false;
   }
   return out;
 }
 
 std::size_t PackedTriangleValues::value_bytes() const {
-  return (f32_.size() + hi_.size() + lo_.size()) * sizeof(float);
+  return f32_.size() * sizeof(float);
 }
 
 bool PackedTriangleValues::matches(std::span<const double> values) const {
   if (values.size() != count_) return false;
   const PackedTriangleValues re = build(values, prec_);
-  if (re.lossless_ != lossless_ || re.f32_.size() != f32_.size() ||
-      re.hi_.size() != hi_.size() || re.lo_.size() != lo_.size())
+  if (re.lossless_ != lossless_ || re.f32_.size() != f32_.size())
     return false;
   // Bit-level comparison: float == would treat differing NaN payloads
   // (or -0.0 vs 0.0) inconsistently with what the kernels actually read.
-  const auto same = [](const AlignedVector<float>& a,
-                       const AlignedVector<float>& b) {
-    return a.empty() ||
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-  };
-  return same(re.f32_, f32_) && same(re.hi_, hi_) && same(re.lo_, lo_);
+  return f32_.empty() || std::memcmp(re.f32_.data(), f32_.data(),
+                                     f32_.size() * sizeof(float)) == 0;
 }
 
 PackedTriangleValues::Raw PackedTriangleValues::to_raw() const {
@@ -266,35 +245,19 @@ PackedTriangleValues::Raw PackedTriangleValues::to_raw() const {
   r.lossless = lossless_ ? 1 : 0;
   r.count = count_;
   r.f32 = f32_;
-  r.hi = hi_;
-  r.lo = lo_;
   return r;
 }
 
 bool PackedTriangleValues::from_raw(Raw raw, PackedTriangleValues& out) {
-  if (raw.precision > 2 || raw.lossless > 1) return false;
+  if (raw.precision > 1 || raw.lossless > 1) return false;
   const auto p = static_cast<ValuePrecision>(raw.precision);
   const auto n = static_cast<std::size_t>(raw.count);
-  switch (p) {
-    case ValuePrecision::kFp64:
-      if (!raw.f32.empty() || !raw.hi.empty() || !raw.lo.empty())
-        return false;
-      break;
-    case ValuePrecision::kFp32:
-      if (raw.f32.size() != n || !raw.hi.empty() || !raw.lo.empty())
-        return false;
-      break;
-    case ValuePrecision::kSplit:
-      if (!raw.f32.empty() || raw.hi.size() != n || raw.lo.size() != n)
-        return false;
-      break;
-  }
+  const std::size_t want = p == ValuePrecision::kFp32 ? n : 0;
+  if (raw.f32.size() != want) return false;
   out.prec_ = p;
   out.lossless_ = raw.lossless == 1;
   out.count_ = n;
   out.f32_ = std::move(raw.f32);
-  out.hi_ = std::move(raw.hi);
-  out.lo_ = std::move(raw.lo);
   return true;
 }
 

@@ -31,31 +31,18 @@ namespace fbmpk {
 enum class ValuePrecision : std::uint8_t {
   kFp64 = 0,  ///< plain doubles (default; the exact representation)
   kFp32 = 1,  ///< single floats — 4 bytes/nnz, bounded rounding error
-  kSplit = 2, ///< hi/lo float pair whose sum reconstructs the double;
-              ///< lossless when the value fits 2x24 mantissa bits
 };
 
-/// "fp64" / "fp32" / "split".
+/// "fp64" / "fp32".
 const char* precision_name(ValuePrecision p);
 
 /// Inverse of precision_name; throws kUnsupported on unknown names.
 ValuePrecision parse_precision(const std::string& name);
 
 /// Bytes one stored matrix value costs under a precision (the traffic
-/// model's 4/8/8 per-nnz value term).
+/// model's 4/8 per-nnz value term).
 constexpr std::size_t precision_value_bytes(ValuePrecision p) {
   return p == ValuePrecision::kFp32 ? sizeof(float) : sizeof(double);
-}
-
-/// Split a double into the hi/lo float pair: hi = fl32(v),
-/// lo = fl32(v - hi). join_split(hi, lo) == v whenever v's mantissa
-/// fits the combined 48 bits (and v is within float range).
-inline void split_value(double v, float& hi, float& lo) {
-  hi = static_cast<float>(v);
-  lo = static_cast<float>(v - static_cast<double>(hi));
-}
-inline double join_split(float hi, float lo) {
-  return static_cast<double>(hi) + static_cast<double>(lo);
 }
 
 /// Column-index sidecar for one CSR triangle, compressed per row-band.
@@ -171,7 +158,7 @@ class PackedTriangleValues {
 
   /// Encode an fp64 value stream at `p`. kFp64 yields an empty store
   /// (the kernels then read the CSR values directly). Values must be
-  /// finite and within float range for kFp32/kSplit — the caller
+  /// finite and within float range for kFp32 — the caller
   /// (MpkPlan::build) rejects matrices outside it.
   static PackedTriangleValues build(std::span<const double> values,
                                     ValuePrecision p);
@@ -180,13 +167,11 @@ class PackedTriangleValues {
   bool empty() const { return prec_ == ValuePrecision::kFp64; }
   std::size_t size() const { return count_; }
   /// True iff decoding reproduces every source double bit-for-bit.
-  /// Trivially true for fp64; for split it holds on many matrices
-  /// (values with <= 48 significant mantissa bits).
+  /// Trivially true for fp64; for fp32 only when every value is a
+  /// float.
   bool lossless() const { return lossless_; }
 
   const float* f32() const { return f32_.data(); }  ///< kFp32 stream
-  const float* hi() const { return hi_.data(); }    ///< kSplit hi
-  const float* lo() const { return lo_.data(); }    ///< kSplit lo
 
   /// Bytes of the reduced value stream (0 for fp64 — no sidecar).
   std::size_t value_bytes() const;
@@ -202,8 +187,6 @@ class PackedTriangleValues {
     std::uint8_t lossless = 1;
     std::uint64_t count = 0;
     AlignedVector<float> f32;
-    AlignedVector<float> hi;
-    AlignedVector<float> lo;
   };
   Raw to_raw() const;
   /// Structural validation only (precision in range, stream sizes
@@ -215,8 +198,6 @@ class PackedTriangleValues {
   bool lossless_ = true;
   std::size_t count_ = 0;
   AlignedVector<float> f32_;  ///< kFp32 pool
-  AlignedVector<float> hi_;   ///< kSplit high parts
-  AlignedVector<float> lo_;   ///< kSplit low parts
 };
 
 /// Value sidecars for both triangles and the diagonal of a split.
@@ -236,7 +217,7 @@ struct PackedSplitValues {
 };
 
 /// True iff every value is finite and within float magnitude range —
-/// the precondition for kFp32/kSplit storage.
+/// the precondition for kFp32 storage.
 bool values_fit_fp32(std::span<const double> values);
 
 /// Packed sidecars for both triangles of a TriangularSplit.

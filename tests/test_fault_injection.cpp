@@ -78,59 +78,53 @@ TEST(FaultInjection, EverySingleByteFlipIsRejected) {
   }
 }
 
-// Same exhaustive sweep over blobs whose VALP section holds fp32 and
-// split hi/lo streams: every flipped byte — header, options, value
-// sidecar, tuned config — must surface as an ingestion error.
+// Same exhaustive sweep over a blob whose VALP section holds fp32
+// streams: every flipped byte — header, options, value sidecar, tuned
+// config — must surface as an ingestion error.
 TEST(FaultInjection, EveryByteFlipInMixedPrecisionPlanIsRejected) {
-  for (const ValuePrecision p :
-       {ValuePrecision::kFp32, ValuePrecision::kSplit}) {
-    const std::string blob = valid_plan_blob_mixed(p);
-    ASSERT_GT(blob.size(), 100u);
-    for (std::size_t pos = 0; pos < blob.size(); ++pos) {
-      const std::string mutated = flip_byte(blob, pos, 0xFF);
-      std::istringstream in(mutated);
-      try {
-        auto plan = load_plan(in);
-        FAIL() << precision_name(p) << ": byte flip at " << pos << " of "
-               << blob.size() << " was silently accepted";
-      } catch (const Error& e) {
-        EXPECT_TRUE(is_ingestion_code(e.code()))
-            << precision_name(p) << ": byte flip at " << pos << " raised '"
-            << e.what() << "' with code " << error_code_name(e.code());
-      }
+  const ValuePrecision p = ValuePrecision::kFp32;
+  const std::string blob = valid_plan_blob_mixed(p);
+  ASSERT_GT(blob.size(), 100u);
+  for (std::size_t pos = 0; pos < blob.size(); ++pos) {
+    const std::string mutated = flip_byte(blob, pos, 0xFF);
+    std::istringstream in(mutated);
+    try {
+      auto plan = load_plan(in);
+      FAIL() << precision_name(p) << ": byte flip at " << pos << " of "
+             << blob.size() << " was silently accepted";
+    } catch (const Error& e) {
+      EXPECT_TRUE(is_ingestion_code(e.code()))
+          << precision_name(p) << ": byte flip at " << pos << " raised '"
+          << e.what() << "' with code " << error_code_name(e.code());
     }
   }
 }
 
 TEST(FaultInjection, EveryTruncationOfMixedPrecisionPlanIsRejected) {
-  for (const ValuePrecision p :
-       {ValuePrecision::kFp32, ValuePrecision::kSplit}) {
-    const std::string blob = valid_plan_blob_mixed(p);
-    for (std::size_t len = 0; len < blob.size(); ++len) {
-      ShortReadStream in(blob, len);
-      try {
-        auto plan = load_plan(in);
-        FAIL() << precision_name(p) << ": truncation to " << len << " of "
-               << blob.size() << " bytes was silently accepted";
-      } catch (const Error& e) {
-        EXPECT_TRUE(is_ingestion_code(e.code()))
-            << precision_name(p) << ": truncation to " << len
-            << " raised code " << error_code_name(e.code());
-      }
+  const ValuePrecision p = ValuePrecision::kFp32;
+  const std::string blob = valid_plan_blob_mixed(p);
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    ShortReadStream in(blob, len);
+    try {
+      auto plan = load_plan(in);
+      FAIL() << precision_name(p) << ": truncation to " << len << " of "
+             << blob.size() << " bytes was silently accepted";
+    } catch (const Error& e) {
+      EXPECT_TRUE(is_ingestion_code(e.code()))
+          << precision_name(p) << ": truncation to " << len
+          << " raised code " << error_code_name(e.code());
     }
   }
 }
 
 TEST(FaultInjection, MixedPrecisionRoundTripStillWorks) {
-  for (const ValuePrecision p :
-       {ValuePrecision::kFp32, ValuePrecision::kSplit}) {
-    const std::string blob = valid_plan_blob_mixed(p);
-    std::istringstream in(blob);
-    auto plan = load_plan(in);
-    EXPECT_EQ(plan.rows(), 36);
-    EXPECT_EQ(plan.options().value_precision, p);
-    EXPECT_GT(plan.stats().packed_value_bytes, 0u);
-  }
+  const ValuePrecision p = ValuePrecision::kFp32;
+  const std::string blob = valid_plan_blob_mixed(p);
+  std::istringstream in(blob);
+  auto plan = load_plan(in);
+  EXPECT_EQ(plan.rows(), 36);
+  EXPECT_EQ(plan.options().value_precision, p);
+  EXPECT_GT(plan.stats().packed_value_bytes, 0u);
 }
 
 TEST(FaultInjection, EverySingleBitFlipInHeaderIsRejected) {

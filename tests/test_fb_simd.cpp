@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/plan.hpp"
@@ -40,18 +42,15 @@ index_t max_row_nnz(const CsrMatrix<double>& a) {
 }
 
 std::vector<KernelBackend> available_vector_backends() {
-  std::vector<KernelBackend> v{KernelBackend::kGeneric};
+  std::vector<KernelBackend> v;
   if (backend_available(KernelBackend::kAvx2))
     v.push_back(KernelBackend::kAvx2);
-  if (backend_available(KernelBackend::kAvx512))
-    v.push_back(KernelBackend::kAvx512);
   return v;
 }
 
 TEST(Dispatch, BackendNamesRoundTrip) {
   for (const KernelBackend b :
-       {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kGeneric,
-        KernelBackend::kAvx2, KernelBackend::kAvx512})
+       {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kAvx2})
     EXPECT_EQ(parse_backend(backend_name(b)), b);
   EXPECT_THROW(parse_backend("sse9"), Error);
   try {
@@ -61,19 +60,49 @@ TEST(Dispatch, BackendNamesRoundTrip) {
   }
 }
 
-TEST(Dispatch, ScalarAndGenericAlwaysAvailable) {
+TEST(Dispatch, ScalarAlwaysAvailable) {
   EXPECT_TRUE(backend_available(KernelBackend::kAuto));
   EXPECT_TRUE(backend_available(KernelBackend::kScalar));
-  EXPECT_TRUE(backend_available(KernelBackend::kGeneric));
   const KernelBackend resolved = resolve_backend(KernelBackend::kAuto);
   EXPECT_NE(resolved, KernelBackend::kAuto);
   EXPECT_TRUE(backend_available(resolved));
+  // kAuto picks AVX2 whenever the CPU has it (unless FBMPK_BACKEND pins
+  // the portable path), and the scalar backend otherwise.
+  const char* env = std::getenv("FBMPK_BACKEND");
+  if (env == nullptr || std::string(env) == "auto") {
+    EXPECT_EQ(resolved, backend_available(KernelBackend::kAvx2)
+                            ? KernelBackend::kAvx2
+                            : KernelBackend::kScalar);
+  }
   // Non-auto requests pass through unchanged.
   EXPECT_EQ(resolve_backend(KernelBackend::kScalar), KernelBackend::kScalar);
 }
 
+// The deleted backend and precision names are typed errors that list
+// what remains, not silent fallbacks.
+TEST(Dispatch, RemovedVariantNamesAreUnsupported) {
+  for (const char* name : {"generic", "avx512"}) {
+    try {
+      parse_backend(name);
+      FAIL() << name << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << name;
+      EXPECT_NE(std::string(e.what()).find("auto|scalar|avx2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    parse_precision("split");
+    FAIL() << "split precision must be rejected";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnsupported);
+  }
+}
+
 TEST(Dispatch, RowKernelsTableHasAllEntries) {
-  for (const KernelBackend b : available_vector_backends()) {
+  for (const KernelBackend b :
+       {KernelBackend::kScalar, KernelBackend::kAuto}) {
     const RowOps& ops = row_kernels(b);
     EXPECT_NE(ops.dot2_btb, nullptr);
     EXPECT_NE(ops.dot1_btb, nullptr);
@@ -107,28 +136,6 @@ TEST(FbSimd, ScalarCompressedIsBitwiseExact) {
         ASSERT_EQ(ye[i], yp[i]) << "parallel=" << parallel << " k=" << k
                                 << " i=" << i;
     }
-  }
-}
-
-// The generic backend keeps the exact scalar accumulation order (it
-// only adds prefetch hints), so it is bitwise exact too.
-TEST(FbSimd, GenericBackendIsBitwiseExact) {
-  const auto a = test::random_matrix(300, 7.0, /*symmetric=*/false, 8);
-  const auto x = test::random_vector(a.rows(), 5);
-
-  PlanOptions exact;
-  exact.parallel = false;
-  PlanOptions generic = exact;
-  generic.kernel_backend = KernelBackend::kGeneric;
-
-  auto pe = MpkPlan::build(a, exact);
-  auto pg = MpkPlan::build(a, generic);
-  AlignedVector<double> ye(x.size()), yg(x.size());
-  for (const int k : {1, 4, 7}) {
-    pe.power(x, k, ye);
-    pg.power(x, k, yg);
-    for (std::size_t i = 0; i < ye.size(); ++i)
-      ASSERT_EQ(ye[i], yg[i]) << "k=" << k << " i=" << i;
   }
 }
 
@@ -238,7 +245,7 @@ TEST(FbSimd, DispatchRejectsUnsupportedPlanShapes) {
     PlanOptions o;
     o.parallel = false;
     o.variant = FbVariant::kSplit;
-    o.kernel_backend = KernelBackend::kGeneric;
+    o.kernel_backend = KernelBackend::kAuto;
     try {
       MpkPlan::build(a, o);
       FAIL() << "split variant + vector backend must be rejected";

@@ -152,8 +152,8 @@ TEST(GoldenOracle, LevelScheduledPowerMatchesCommittedVectors) {
 }
 
 // The golden files double as an accuracy oracle for every fast / mixed-
-// precision configuration: reduced-precision storage on the widest
-// available backend with compressed indices must stay within the
+// precision configuration: fp32 storage on the auto-resolved backend
+// with compressed indices must stay within the
 // documented bound of the committed exact result.
 TEST(GoldenOracle, MixedPrecisionStaysWithinBoundOfGoldenVectors) {
   if (std::getenv("FBMPK_REGEN_GOLDEN") != nullptr)
@@ -176,28 +176,23 @@ TEST(GoldenOracle, MixedPrecisionStaysWithinBoundOfGoldenVectors) {
 
     for (const int k : kPowers) {
       const auto want = read_vector_file(golden_path(c.name, k));
-      for (const ValuePrecision prec :
-           {ValuePrecision::kFp32, ValuePrecision::kSplit}) {
-        SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k) +
-                     " precision=" + precision_name(prec));
-        PlanOptions o;
-        o.parallel = false;
-        o.kernel_backend = resolve_backend(KernelBackend::kAuto);
-        o.index_compress = true;
-        o.value_precision = prec;
-        auto plan = MpkPlan::build(a, o);
-        AlignedVector<double> y(x.size());
-        plan.power(x, k, y);
+      SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k));
+      PlanOptions o;
+      o.parallel = false;
+      o.kernel_backend = resolve_backend(KernelBackend::kAuto);
+      o.index_compress = true;
+      o.value_precision = ValuePrecision::kFp32;
+      auto plan = MpkPlan::build(a, o);
+      AlignedVector<double> y(x.size());
+      plan.power(x, k, y);
 
-        const double eps_prec =
-            prec == ValuePrecision::kFp32 ? 0x1.0p-24 : 0x1.0p-48;
-        const double bound = 8.0 * k *
-                             (static_cast<double>(mrow) * eps64 + eps_prec) *
-                             std::pow(anorm, k) * xnorm;
-        ASSERT_EQ(y.size(), want.size());
-        for (std::size_t i = 0; i < y.size(); ++i)
-          ASSERT_LE(std::abs(y[i] - want[i]), bound) << "i=" << i;
-      }
+      const double eps_f32 = 0x1.0p-24;
+      const double bound = 8.0 * k *
+                           (static_cast<double>(mrow) * eps64 + eps_f32) *
+                           std::pow(anorm, k) * xnorm;
+      ASSERT_EQ(y.size(), want.size());
+      for (std::size_t i = 0; i < y.size(); ++i)
+        ASSERT_LE(std::abs(y[i] - want[i]), bound) << "i=" << i;
     }
   }
 }

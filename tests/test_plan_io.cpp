@@ -115,7 +115,7 @@ TEST(PlanIo, RejectsOldFormatVersionWithTypedError) {
   // (correct index width) and claims a payload the stream does not
   // hold, so reading past the header would surface as kCorruptPlan.
   for (const std::uint32_t version :
-       {0u, 1u, 4u, 5u, 6u, 8u, 0xFFFFFFFFu}) {
+       {0u, 1u, 4u, 5u, 6u, 7u, 9u, 0xFFFFFFFFu}) {
     SCOPED_TRACE(version);
     std::string header("FBMPKPLN", 8);
     const std::uint32_t width = sizeof(index_t), crc = 0;
@@ -182,7 +182,7 @@ TEST(PlanIo, TryLoadReturnsExpectedInsteadOfThrowing) {
 TEST(PlanIo, RoundTripCompressedDispatchPlan) {
   const auto a = gen::make_laplacian_2d(20, 18);
   PlanOptions opts;
-  opts.kernel_backend = KernelBackend::kGeneric;
+  opts.kernel_backend = KernelBackend::kAuto;
   opts.index_compress = true;
   opts.prefetch_dist = 8;
   opts.autotune_oracle = false;  // non-default, must round-trip (v6)
@@ -193,11 +193,11 @@ TEST(PlanIo, RoundTripCompressedDispatchPlan) {
   save_plan(plan, buf);
   auto loaded = load_plan(buf);
 
-  EXPECT_EQ(loaded.options().kernel_backend, KernelBackend::kGeneric);
+  EXPECT_EQ(loaded.options().kernel_backend, KernelBackend::kAuto);
   EXPECT_TRUE(loaded.options().index_compress);
   EXPECT_EQ(loaded.options().prefetch_dist, 8);
   EXPECT_FALSE(loaded.options().autotune_oracle);
-  EXPECT_EQ(loaded.resolved_backend(), KernelBackend::kGeneric);
+  EXPECT_EQ(loaded.resolved_backend(), resolve_backend(KernelBackend::kAuto));
   EXPECT_EQ(loaded.stats().packed_index_bytes,
             plan.stats().packed_index_bytes);
   EXPECT_EQ(loaded.packed_index().bytes_per_nnz(),
@@ -315,31 +315,28 @@ TEST(PlanIo, PackedPayloadWithCompressOffIsCorrupt) {
 
 TEST(PlanIo, RoundTripMixedPrecisionPlanBitwise) {
   const auto a = gen::make_laplacian_2d(14, 14);
-  for (const ValuePrecision p :
-       {ValuePrecision::kFp32, ValuePrecision::kSplit}) {
-    PlanOptions opts;
-    opts.index_compress = true;
-    opts.value_precision = p;
-    auto plan = MpkPlan::build(a, opts);
-    ASSERT_GT(plan.stats().packed_value_bytes, 0u);
+  PlanOptions opts;
+  opts.index_compress = true;
+  opts.value_precision = ValuePrecision::kFp32;
+  auto plan = MpkPlan::build(a, opts);
+  ASSERT_GT(plan.stats().packed_value_bytes, 0u);
 
-    std::stringstream buf;
-    save_plan(plan, buf);
-    auto loaded = load_plan(buf);
-    EXPECT_EQ(loaded.options().value_precision, p);
-    EXPECT_EQ(loaded.packed_values().precision, p);
-    EXPECT_EQ(loaded.stats().packed_value_bytes,
-              plan.stats().packed_value_bytes);
-    EXPECT_EQ(loaded.packed_values().lossless(),
-              plan.packed_values().lossless());
-    expect_plans_equivalent(plan, loaded, a, 5);
-  }
+  std::stringstream buf;
+  save_plan(plan, buf);
+  auto loaded = load_plan(buf);
+  EXPECT_EQ(loaded.options().value_precision, ValuePrecision::kFp32);
+  EXPECT_EQ(loaded.packed_values().precision, ValuePrecision::kFp32);
+  EXPECT_EQ(loaded.stats().packed_value_bytes,
+            plan.stats().packed_value_bytes);
+  EXPECT_EQ(loaded.packed_values().lossless(),
+            plan.packed_values().lossless());
+  expect_plans_equivalent(plan, loaded, a, 5);
 }
 
 TEST(PlanIo, TamperedValueSectionFailsDecodeCompare) {
   const auto a = gen::make_laplacian_2d(16, 16);
   PlanOptions opts;
-  opts.value_precision = ValuePrecision::kSplit;
+  opts.value_precision = ValuePrecision::kFp32;
   auto plan = MpkPlan::build(a, opts);
   std::stringstream buf;
   save_plan(plan, buf);
@@ -348,16 +345,16 @@ TEST(PlanIo, TamperedValueSectionFailsDecodeCompare) {
   // Locate the VALP frame ('VALP' as a little-endian u32 -> the byte
   // string "PLAV"). Its layout: u32 precision, then the lower
   // triangle's raw store — u8 precision, u8 lossless, u64 count,
-  // empty f32 vec (u64 size 0), hi vec (u64 size + data). Flip the
-  // first byte of lower.hi and re-stamp the CRC: framing and checksum
-  // pass, only the decode-compare against the fp64 split can catch it.
+  // f32 vec (u64 size + data). Flip the first byte of lower.f32 and
+  // re-stamp the CRC: framing and checksum pass, only the
+  // decode-compare against the fp64 split can catch it.
   const std::string tag = {'P', 'L', 'A', 'V'};
   const std::size_t valp = stream.rfind(tag);
   ASSERT_NE(valp, std::string::npos);
-  const std::size_t hi0 = valp + 12 + 4 + 1 + 1 + 8 + 8 + 8;
-  ASSERT_LT(hi0, stream.size());
-  stream[hi0] = static_cast<char>(
-      static_cast<unsigned char>(stream[hi0]) ^ 0x01);
+  const std::size_t f0 = valp + 12 + 4 + 1 + 1 + 8 + 8;
+  ASSERT_LT(f0, stream.size());
+  stream[f0] = static_cast<char>(
+      static_cast<unsigned char>(stream[f0]) ^ 0x01);
   fix_crc(stream);
 
   std::stringstream tampered(stream);
@@ -371,34 +368,34 @@ TEST(PlanIo, TamperedValueSectionFailsDecodeCompare) {
 
 TEST(PlanIo, ValueSidecarWithFp64PrecisionIsCorrupt) {
   // A plan claiming fp64 must not smuggle in value sidecars: flip the
-  // OPTS precision word of a split plan's stream to fp64 and re-stamp
+  // OPTS precision word of an fp32 plan's stream to fp64 and re-stamp
   // the CRC — the require-empty check must fire.
   const auto a = gen::make_laplacian_2d(12, 12);
-  PlanOptions split_opts, plain_opts;
-  split_opts.value_precision = ValuePrecision::kSplit;
-  auto plan_split = MpkPlan::build(a, split_opts);
+  PlanOptions f32_opts, plain_opts;
+  f32_opts.value_precision = ValuePrecision::kFp32;
+  auto plan_f32 = MpkPlan::build(a, f32_opts);
   auto plan_plain = MpkPlan::build(a, plain_opts);
   std::stringstream bs, bp;
-  save_plan(plan_split, bs);
+  save_plan(plan_f32, bs);
   save_plan(plan_plain, bp);
-  std::string s_split = bs.str();
+  std::string s_f32 = bs.str();
   const std::string s_plain = bp.str();
 
   // The first differing payload byte is the serialized precision enum.
   std::size_t pos = std::string::npos;
   for (std::size_t i = kHeaderBytes;
-       i < std::min(s_split.size(), s_plain.size()); ++i) {
-    if (s_split[i] != s_plain[i]) {
+       i < std::min(s_f32.size(), s_plain.size()); ++i) {
+    if (s_f32[i] != s_plain[i]) {
       pos = i;
       break;
     }
   }
   ASSERT_NE(pos, std::string::npos);
-  ASSERT_EQ(s_split[pos], 2);  // ValuePrecision::kSplit as u32 LSB
-  s_split[pos] = 0;            // claim fp64
-  fix_crc(s_split);
+  ASSERT_EQ(s_f32[pos], 1);  // ValuePrecision::kFp32 as u32 LSB
+  s_f32[pos] = 0;            // claim fp64
+  fix_crc(s_f32);
 
-  std::stringstream tampered(s_split);
+  std::stringstream tampered(s_f32);
   try {
     load_plan(tampered);
     FAIL() << "value sidecar with fp64 precision was accepted";

@@ -6,13 +6,13 @@
 // {value precision} x {backend} x {index compression} x {schedule}
 // cross-product against the exact scalar serial oracle:
 //
-//   - fp64 on the scalar/generic backends is bitwise equal to the
-//     oracle (the dispatched twins replicate the accumulation order);
+//   - fp64 on the scalar backend is bitwise equal to the oracle (the
+//     dispatched twins replicate the accumulation order);
 //   - every reduced-precision or vector configuration stays within the
 //     documented bound (docs/KERNELS.md): the fast-mode reassociation
 //     term plus the value-rounding term for the stored precision;
-//   - split storage is bitwise equal to fp64 when the matrix's values
-//     survive the hi/lo round-trip (lossless);
+//   - fp32 storage is bitwise equal to fp64 when every matrix value is
+//     a float (lossless);
 //   - for a fixed configuration, every schedule — serial, the ABMC
 //     barrier and point-to-point engine, and the level scheduler's
 //     barrier and point-to-point engine (natural order, reorder off) —
@@ -70,15 +70,7 @@ index_t max_row_nnz(const CsrMatrix<double>& a) {
 /// Per-value relative rounding of the stored precision (0 for fp64:
 /// the stream is the exact doubles).
 double precision_eps(ValuePrecision p) {
-  switch (p) {
-    case ValuePrecision::kFp64:
-      return 0.0;
-    case ValuePrecision::kFp32:
-      return 0x1.0p-24;
-    case ValuePrecision::kSplit:
-      return 0x1.0p-48;
-  }
-  return 0.0;
+  return p == ValuePrecision::kFp32 ? 0x1.0p-24 : 0.0;
 }
 
 /// Error bound for one configuration vs the exact result
@@ -115,8 +107,8 @@ CsrMatrix<double> draw_matrix(test::Xorshift64& rng) {
   }
 }
 
-/// Quantize values to a coarse binary grid so each survives the hi/lo
-/// float round-trip: the resulting matrix is split-lossless.
+/// Quantize values to a coarse binary grid so each is exactly a float:
+/// the resulting matrix is fp32-lossless.
 CsrMatrix<double> quantize_values(const CsrMatrix<double>& a) {
   AlignedVector<index_t> rp(a.row_ptr().begin(), a.row_ptr().end());
   AlignedVector<index_t> ci(a.col_idx().begin(), a.col_idx().end());
@@ -130,16 +122,10 @@ CsrMatrix<double> quantize_values(const CsrMatrix<double>& a) {
 }
 
 std::vector<KernelBackend> harness_backends() {
-  std::vector<KernelBackend> v{KernelBackend::kScalar,
-                               KernelBackend::kGeneric};
+  std::vector<KernelBackend> v{KernelBackend::kScalar};
   const KernelBackend fast = resolve_backend(KernelBackend::kAuto);
-  if (fast != KernelBackend::kScalar && fast != KernelBackend::kGeneric)
-    v.push_back(fast);
+  if (fast != KernelBackend::kScalar) v.push_back(fast);
   return v;
-}
-
-bool exact_backend(KernelBackend b) {
-  return b == KernelBackend::kScalar || b == KernelBackend::kGeneric;
 }
 
 /// FBMPK_SCHEDULER env filter over the parallel-schedule axis.
@@ -209,8 +195,7 @@ void check_case(const CsrMatrix<double>& a, const AlignedVector<double>& x,
 
   AlignedVector<double> ys(x.size()), ysn(x.size()), yb(x.size());
   for (const ValuePrecision prec :
-       {ValuePrecision::kFp64, ValuePrecision::kFp32,
-        ValuePrecision::kSplit}) {
+       {ValuePrecision::kFp64, ValuePrecision::kFp32}) {
     for (const KernelBackend backend : harness_backends()) {
       for (const bool compress : {false, true}) {
         SCOPED_TRACE(std::string("precision=") + precision_name(prec) +
@@ -246,7 +231,8 @@ void check_case(const CsrMatrix<double>& a, const AlignedVector<double>& x,
                                           << i;
         }
 
-        if (prec == ValuePrecision::kFp64 && exact_backend(backend)) {
+        if (prec == ValuePrecision::kFp64 &&
+            backend == KernelBackend::kScalar) {
           // Exact configurations reproduce the oracle bitwise.
           for (std::size_t i = 0; i < ys.size(); ++i)
             ASSERT_EQ(ys[i], yref[i]) << "exact config diverges at i=" << i;
@@ -256,16 +242,6 @@ void check_case(const CsrMatrix<double>& a, const AlignedVector<double>& x,
           for (std::size_t i = 0; i < ys.size(); ++i)
             ASSERT_LE(std::abs(ys[i] - yref[i]), bound)
                 << "documented bound violated at i=" << i;
-        }
-
-        const bool lossless_split = prec == ValuePrecision::kSplit &&
-                                    ps.packed_values().lossless();
-        if (lossless_split && exact_backend(backend)) {
-          // Lossless split decodes to the exact doubles, so the scalar
-          // accumulation-order twins reproduce the oracle bitwise.
-          for (std::size_t i = 0; i < ys.size(); ++i)
-            ASSERT_EQ(ys[i], yref[i])
-                << "lossless split diverges at i=" << i;
         }
       }
     }
@@ -277,18 +253,18 @@ void check_case(const CsrMatrix<double>& a, const AlignedVector<double>& x,
 /// stored precision — the exact accumulation-order oracle — for every
 /// backend, compression and schedule. nvec = 3 exercises the
 /// non-power-of-two greedy chunking ({2, 1} remainder); nvec = 8 runs
-/// a full one-chunk batch.
+/// a full one-chunk batch; nvec = 9 and 17 run several 8-wide chunks
+/// plus a remainder.
 void check_batched_case(const CsrMatrix<double>& a, int k,
                         test::Xorshift64& rng) {
   const index_t n = a.rows();
-  constexpr int kMaxNvec = 8;
+  constexpr int kMaxNvec = 17;
   std::vector<AlignedVector<double>> xs;
   for (int b = 0; b < kMaxNvec; ++b)
     xs.push_back(test::random_vector(n, rng.next()));
 
   for (const ValuePrecision prec :
-       {ValuePrecision::kFp64, ValuePrecision::kFp32,
-        ValuePrecision::kSplit}) {
+       {ValuePrecision::kFp64, ValuePrecision::kFp32}) {
     for (const KernelBackend backend : harness_backends()) {
       for (const bool compress : {false, true}) {
         SCOPED_TRACE(std::string("precision=") + precision_name(prec) +
@@ -322,7 +298,7 @@ void check_batched_case(const CsrMatrix<double>& a, int k,
           pon.power(xs[b], k, yref_nat[b]);
         }
 
-        for (const int nvec : {1, 2, 3, 8}) {
+        for (const int nvec : {1, 2, 3, 8, 9, 17}) {
           SCOPED_TRACE("nvec=" + std::to_string(nvec));
           std::vector<const double*> xp(nvec);
           std::vector<AlignedVector<double>> ybat(nvec);
@@ -386,7 +362,7 @@ TEST(PropertyRandom, MixedPrecisionCrossProductHoldsOverRandomCases) {
   }
 }
 
-TEST(PropertyRandom, QuantizedMatrixIsSplitLosslessAndBitwiseExact) {
+TEST(PropertyRandom, QuantizedMatrixIsFp32LosslessAndBitwiseExact) {
   const int seeds = test::property_seed_count();
   for (int seed = 0; seed < seeds; ++seed) {
     SCOPED_TRACE("FBMPK_PROP_SEED=" + std::to_string(seed));
@@ -400,18 +376,18 @@ TEST(PropertyRandom, QuantizedMatrixIsSplitLosslessAndBitwiseExact) {
     exact.parallel = false;
     auto pe = MpkPlan::build(a, exact);
 
-    PlanOptions split = exact;
-    split.value_precision = ValuePrecision::kSplit;
-    split.index_compress = true;
-    auto psp = MpkPlan::build(a, split);
-    ASSERT_TRUE(psp.packed_values().lossless())
-        << "quantized values must survive the hi/lo round-trip";
+    PlanOptions f32 = exact;
+    f32.value_precision = ValuePrecision::kFp32;
+    f32.index_compress = true;
+    auto pf = MpkPlan::build(a, f32);
+    ASSERT_TRUE(pf.packed_values().lossless())
+        << "quantized values must be exact floats";
 
-    AlignedVector<double> ye(x.size()), ysp(x.size());
+    AlignedVector<double> ye(x.size()), yf(x.size());
     pe.power(x, k, ye);
-    psp.power(x, k, ysp);
+    pf.power(x, k, yf);
     for (std::size_t i = 0; i < ye.size(); ++i)
-      ASSERT_EQ(ye[i], ysp[i]) << "i=" << i;
+      ASSERT_EQ(ye[i], yf[i]) << "i=" << i;
   }
 }
 
@@ -426,17 +402,13 @@ TEST(PropertyRandom, OutOfFloatRangeValuesAreRejected) {
   CsrMatrix<double> big(a.rows(), a.cols(), std::move(rp), std::move(ci),
                         std::move(va));
 
-  for (const ValuePrecision prec :
-       {ValuePrecision::kFp32, ValuePrecision::kSplit}) {
-    PlanOptions o;
-    o.value_precision = prec;
-    try {
-      MpkPlan::build(big, o);
-      FAIL() << "out-of-range values accepted for "
-             << precision_name(prec);
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kUnsupported);
-    }
+  PlanOptions o;
+  o.value_precision = ValuePrecision::kFp32;
+  try {
+    MpkPlan::build(big, o);
+    FAIL() << "out-of-range values accepted for fp32";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnsupported);
   }
 }
 
