@@ -1,17 +1,18 @@
 // Scheduler ablation (DESIGN.md §7 + paper §VII): ABMC coloring versus
 // level scheduling for parallel FBMPK, k = 5.
 //
-// ABMC pays a permutation (locality risk, preprocessing cost) to get a
-// handful of barriers per sweep; level scheduling keeps the original
-// order but pays one barrier per dependency level — unless the blocked
-// level engine aggregates levels into cache-sized stages and replaces
-// the barriers with per-thread epoch waits. This bench reports the
-// structural trade-off (colors vs levels vs stages, i.e. sync points
-// per forward+backward pair) and the measured kernel times on this
-// host, across four rungs:
+// ABMC pays a recoloring permutation (locality risk, preprocessing
+// cost) to get a handful of barriers per sweep; level scheduling keeps
+// each row's arithmetic but needs one sync point per stage of
+// aggregated dependency levels — a team barrier, or per-thread epoch
+// waits in the blocked level engine. Level plans store their rows
+// renumbered by thread ownership. This bench reports the structural
+// trade-off (colors vs levels vs stages, i.e. sync points per
+// forward+backward pair) and the measured kernel times on this host,
+// across four rungs:
 //   abmc          ABMC permutation + per-color barriers
-//   levels_barrier natural order, one barrier per dependency level
-//   levels_engine  natural order, blocked stages + p2p epoch sync
+//   levels_barrier blocked stages, one barrier per stage
+//   levels_engine  blocked stages + p2p epoch sync
 //   serial         natural order, single thread (the bitwise oracle)
 //
 // Results land in BENCH_scheduler_ablation.json (schema v3).
@@ -119,14 +120,12 @@ int main(int argc, char** argv) {
   imbalance.print();
   report.write();
   std::printf(
-      "\nlevel scheduling keeps the original order (no locality loss, no "
-      "permutation cost)\nbut per-level barriers cost orders of magnitude "
-      "more sync than ABMC's per-color\nbarriers — the reason the paper "
-      "chose multi-coloring (§III-D). The blocked level\nengine "
-      "(levels_engine) closes that gap: levels aggregate into cache-sized "
-      "stages\nand threads wait on actual predecessors via epoch counters, "
-      "so the natural\norder becomes competitive on matrices where ABMC's "
-      "permutation hurts locality\nor its color count explodes (see "
+      "\nlevel scheduling needs no recoloring, but its stages cost far "
+      "more sync than\nABMC's per-color barriers — the reason the paper "
+      "chose multi-coloring (§III-D).\nThe blocked level engine "
+      "(levels_engine) narrows that gap: threads wait on\nactual "
+      "predecessors via epoch counters, so levels become competitive on "
+      "matrices\nwhere ABMC's color count explodes (see "
       "docs/PARALLELISM.md for the decision table).\n");
   return 0;
 }

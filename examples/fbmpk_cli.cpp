@@ -239,8 +239,9 @@ int cmd_plan(const Args& args) {
   std::printf("matrix: %d rows, %d nnz\n", a.rows(), a.nnz());
 
   PlanOptions opts;
-  // Scheduler choice (docs/PARALLELISM.md §9). Levels is the
-  // keep-the-order strategy, so it implies reorder off.
+  // Scheduler choice (docs/PARALLELISM.md §9). Level plans renumber by
+  // thread ownership instead of the ABMC reorder, so levels implies
+  // reorder off.
   opts.scheduler = parse_scheduler(get(args, "scheduler", "abmc"));
   if (opts.scheduler == Scheduler::kLevels) opts.reorder = false;
   const std::string sweep = get(args, "sweep", "barrier");
@@ -314,8 +315,8 @@ int cmd_info(const Args& args) {
               plan.options().reorder ? "yes" : "no");
   if (is_levels) {
     std::printf("levels:          %d forward / %d backward\n",
-                static_cast<int>(plan.levels().forward.num_levels),
-                static_cast<int>(plan.levels().backward.num_levels));
+                static_cast<int>(st.num_levels_forward),
+                static_cast<int>(st.num_levels_backward));
     if (!plan.level_sweep_schedule().empty())
       std::printf("level blocking:  %d fwd / %d bwd stages x %d threads\n",
                   static_cast<int>(plan.level_sweep_schedule().fwd.num_stages),
@@ -598,7 +599,7 @@ int cmd_serve(const Args& args) {
   const int k = std::stoi(get(args, "k", "4"));
 
   service::ServiceOptions sopts;
-  // Scheduler for cache-miss plan builds. Levels implies natural order
+  // Scheduler for cache-miss plan builds. Levels implies reorder off
   // plus the blocked p2p engine so the full degradation ladder
   // (engine -> barrier -> serial) stays populated.
   sopts.plan.scheduler = parse_scheduler(get(args, "scheduler", "abmc"));

@@ -295,8 +295,8 @@ SchedulerRaceResult autotune_scheduler(const CsrMatrix<double>& a, int k,
             perf::replay_fbmpk_traffic(s, &ord, rc).dram_total_bytes()) *
         view.traffic_scale;
 
-    // The level scheduler never permutes and the band-compressed
-    // sidecar is sized on the natural order.
+    // The level replay prices the natural order (not the plan's
+    // ownership renumbering); size the band-compressed sidecar on it.
     rc.col_index_bytes =
         base.index_compress
             ? perf::estimate_packed_index_bytes_per_nnz(s, nullptr)
@@ -325,11 +325,8 @@ SchedulerRaceResult autotune_scheduler(const CsrMatrix<double>& a, int k,
     PlanOptions opts = base;
     opts.scheduler = sched;
     if (sched == Scheduler::kLevels) {
-      // Levels is the keep-the-order strategy: race it the way a levels
-      // plan ships — natural order, blocked stages, p2p engine — which
-      // is also the configuration the oracle scored above. Leaving the
-      // base reorder on would time the per-level barrier kernel on the
-      // permuted matrix, a rung no production levels plan runs.
+      // Race levels the way a levels plan ships — no ABMC reorder
+      // (level plans ignore it), blocked stages, p2p engine.
       opts.reorder = false;
       opts.sweep.sync = SweepSync::kPointToPoint;
     }

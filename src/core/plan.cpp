@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <new>
+#include <numeric>
 
 #include "kernels/fb_batch.hpp"
 #include "kernels/fbmpk_parallel.hpp"
@@ -61,6 +62,24 @@ std::int64_t level_imbalance_ppm(const LevelSweepSchedule& sched) {
 }
 #endif
 
+/// Number of forward dependency levels of a's strict lower triangle in
+/// its own order, straight from the pattern (columns ascend, so each
+/// row's lower part is a prefix).
+index_t forward_level_count(const CsrMatrix<double>& a) {
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  std::vector<index_t> level_of(static_cast<std::size_t>(a.rows()), 0);
+  index_t count = 1;
+  for (index_t i = 0; i < a.rows(); ++i) {
+    index_t lvl = 0;
+    for (index_t q = rp[i]; q < rp[i + 1] && ci[q] < i; ++q)
+      lvl = std::max(lvl, level_of[ci[q]] + 1);
+    level_of[i] = lvl;
+    count = std::max(count, lvl + 1);
+  }
+  return count;
+}
+
 }  // namespace
 
 const char* scheduler_name(Scheduler s) {
@@ -114,7 +133,39 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
   plan.n_ = a.rows();
   plan.opts_ = opts;
 
-  if (opts.reorder) {
+  if (opts.parallel && opts.scheduler == Scheduler::kAuto) {
+    // Structural probe for the unmeasured build path: level scheduling
+    // wins when the dependency levels are wide enough to keep every
+    // thread busy without ABMC's recoloring barriers; long narrow
+    // chains favor ABMC (docs/PARALLELISM.md §choosing-a-scheduler).
+    // The levels are those of the original order, the order a level
+    // plan runs in. build_autotuned_plan replaces this with a measured
+    // race (autotune_scheduler). Plans never carry kAuto past this point.
+    FBMPK_TSPAN(kPlan, "plan.scheduler_probe");
+    if (!opts.reorder) {
+      opts.scheduler = Scheduler::kLevels;  // ABMC needs the reorder
+    } else {
+      const index_t threads = opts.sweep.threads > 0
+                                  ? opts.sweep.threads
+                                  : static_cast<index_t>(max_threads());
+      const double mean_width = static_cast<double>(plan.n_) /
+                                static_cast<double>(forward_level_count(a));
+      opts.scheduler = mean_width >= 4.0 * static_cast<double>(threads)
+                           ? Scheduler::kLevels
+                           : Scheduler::kAbmc;
+    }
+    plan.opts_.scheduler = opts.scheduler;
+  } else if (opts.scheduler == Scheduler::kAuto) {
+    // Serial plans never consult the scheduler; resolve to the default
+    // so persisted options stay concrete.
+    opts.scheduler = Scheduler::kAbmc;
+    plan.opts_.scheduler = opts.scheduler;
+  }
+
+  // Level-scheduled plans take no ABMC reorder: they are renumbered
+  // by thread ownership below instead.
+  const bool levels = opts.parallel && opts.scheduler == Scheduler::kLevels;
+  if (opts.reorder && !levels) {
     Timer reorder_timer;
     {
       FBMPK_TSPAN(kPlan, "plan.abmc");
@@ -132,51 +183,13 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
     plan.split_ = split_triangular(a);
   }
 
-  if (opts.parallel && opts.scheduler == Scheduler::kAuto) {
-    // Structural probe for the unmeasured build path: level scheduling
-    // wins when the dependency levels are wide enough to keep every
-    // thread busy without ABMC's recoloring barriers; long narrow
-    // chains favor ABMC (docs/PARALLELISM.md §choosing-a-scheduler).
-    // build_autotuned_plan replaces this with a measured race
-    // (autotune_scheduler). Plans never carry kAuto past this point.
-    FBMPK_TSPAN(kPlan, "plan.scheduler_probe");
-    if (!opts.reorder) {
-      opts.scheduler = Scheduler::kLevels;  // ABMC needs the reorder
-    } else {
-      const index_t threads = opts.sweep.threads > 0
-                                  ? opts.sweep.threads
-                                  : static_cast<index_t>(max_threads());
-      const index_t nl = forward_levels(plan.split_.lower).num_levels;
-      const double mean_width =
-          static_cast<double>(plan.n_) / static_cast<double>(std::max<index_t>(nl, 1));
-      opts.scheduler = mean_width >= 4.0 * static_cast<double>(threads)
-                           ? Scheduler::kLevels
-                           : Scheduler::kAbmc;
-    }
-    plan.opts_.scheduler = opts.scheduler;
-  } else if (opts.scheduler == Scheduler::kAuto) {
-    // Serial plans never consult the scheduler; resolve to the default
-    // so persisted options stay concrete.
-    opts.scheduler = Scheduler::kAbmc;
-    plan.opts_.scheduler = opts.scheduler;
-  }
-
-  if (opts.parallel && opts.scheduler == Scheduler::kLevels) {
+  if (levels) {
     FBMPK_TSPAN(kPlan, "plan.levels");
-    plan.levels_ = LevelSchedulePair::of(plan.split_);
-    plan.stats_.num_levels_forward = plan.levels_.forward.num_levels;
-    plan.stats_.num_levels_backward = plan.levels_.backward.num_levels;
-    if (opts.sweep.sync == SweepSync::kPointToPoint) {
-      FBMPK_TSPAN(kPlan, "plan.level_blocking");
-      const index_t threads = opts.sweep.threads > 0
-                                  ? opts.sweep.threads
-                                  : static_cast<index_t>(max_threads());
-      plan.level_sweep_schedule_ =
-          build_level_sweep_schedule(plan.levels_, plan.split_, threads);
-      plan.stats_.sweep_threads = threads;
-      FBMPK_TGAUGE("plan.partition_imbalance_ppm",
-                   level_imbalance_ppm(plan.level_sweep_schedule_));
-    }
+    plan.renumber_by_ownership(opts.sweep.threads > 0
+                                   ? opts.sweep.threads
+                                   : static_cast<index_t>(max_threads()));
+    FBMPK_TGAUGE("plan.partition_imbalance_ppm",
+                 level_imbalance_ppm(plan.level_sweep_schedule_));
   }
 
   if (opts.parallel && opts.scheduler == Scheduler::kAbmc &&
@@ -192,31 +205,7 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
                  schedule_imbalance_ppm(plan.sweep_schedule_));
   }
 
-  if (opts.index_compress) {
-    FBMPK_TSPAN(kPlan, "plan.pack_index");
-    plan.packed_.lower = PackedTriangleIndex::build(plan.split_.lower);
-    plan.packed_.upper = PackedTriangleIndex::build(plan.split_.upper);
-    plan.stats_.packed_index_bytes = plan.packed_.index_bytes();
-  }
-  if (opts.value_precision != ValuePrecision::kFp64) {
-    FBMPK_TSPAN(kPlan, "plan.pack_values");
-    const auto lv = std::span<const double>(plan.split_.lower.values());
-    const auto uv = std::span<const double>(plan.split_.upper.values());
-    const auto dv = std::span<const double>(plan.split_.diag);
-    FBMPK_CHECK_CODE(
-        values_fit_fp32(lv) && values_fit_fp32(uv) && values_fit_fp32(dv),
-        ErrorCode::kUnsupported,
-        "matrix values exceed float range; "
-            << precision_name(opts.value_precision)
-            << " storage needs every value finite and within float range");
-    plan.values_.precision = opts.value_precision;
-    plan.values_.lower =
-        PackedTriangleValues::build(lv, opts.value_precision);
-    plan.values_.upper =
-        PackedTriangleValues::build(uv, opts.value_precision);
-    plan.values_.diag = PackedTriangleValues::build(dv, opts.value_precision);
-    plan.stats_.packed_value_bytes = plan.values_.value_bytes();
-  }
+  plan.pack_sidecars();
   // Resolve the executing backend now so an impossible explicit request
   // fails at build, not at the first power() call. kAuto goes through
   // the CPUID probe.
@@ -239,6 +228,76 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
   return plan;
 }
 
+void MpkPlan::renumber_by_ownership(index_t threads) {
+  const index_t n = n_;
+  if (!perm_.is_identity()) {
+    // A renumbered plan (a load under another thread count) first goes
+    // back to the original order, so the result equals a fresh build.
+    const std::vector<index_t> back = perm_.inverse();
+    perm_ = Permutation::identity(n);
+    split_ = renumber_split(std::move(split_), back, perm_.order());
+  }
+  const LevelSchedulePair levels = LevelSchedulePair::of(split_);
+  stats_.num_levels_forward = levels.forward.num_levels;
+  stats_.num_levels_backward = levels.backward.num_levels;
+  level_sweep_schedule_ = build_level_sweep_schedule(levels, split_, threads);
+  if (opts_.sweep.sync == SweepSync::kPointToPoint)
+    stats_.sweep_threads = threads;
+
+  // pi = the forward slot order, so each thread's forward rows become
+  // one contiguous range; the schedule's rows are renamed with it.
+  LevelSweepSchedule& ls = level_sweep_schedule_;
+  std::vector<index_t> order = std::move(ls.fwd.part_rows);
+  std::vector<index_t> inv(static_cast<std::size_t>(n));
+  for (index_t q = 0; q < n; ++q) inv[order[q]] = q;
+  ls.fwd.part_rows.resize(static_cast<std::size_t>(n));
+  std::iota(ls.fwd.part_rows.begin(), ls.fwd.part_rows.end(), index_t{0});
+
+  // Backward slots keep the builder's (level, row) order, restated in
+  // the new numbering so each slot's U rows stream upward.
+  std::vector<index_t> blevel(static_cast<std::size_t>(n));
+  for (index_t l = 0; l < levels.backward.num_levels; ++l)
+    for (index_t q = levels.backward.level_ptr[l];
+         q < levels.backward.level_ptr[l + 1]; ++q)
+      blevel[inv[levels.backward.rows[q]]] = l;
+  for (index_t& i : ls.bwd.part_rows) i = inv[i];
+  for (std::size_t sl = 0; sl + 1 < ls.bwd.part_ptr.size(); ++sl)
+    std::sort(ls.bwd.part_rows.begin() + ls.bwd.part_ptr[sl],
+              ls.bwd.part_rows.begin() + ls.bwd.part_ptr[sl + 1],
+              [&](index_t a, index_t b) {
+                return blevel[a] != blevel[b] ? blevel[a] < blevel[b] : a < b;
+              });
+
+  split_ = renumber_split(std::move(split_), order, order);
+  perm_ = Permutation(std::move(order));
+}
+
+void MpkPlan::pack_sidecars() {
+  if (opts_.index_compress) {
+    FBMPK_TSPAN(kPlan, "plan.pack_index");
+    packed_.lower = PackedTriangleIndex::build(split_.lower);
+    packed_.upper = PackedTriangleIndex::build(split_.upper);
+    stats_.packed_index_bytes = packed_.index_bytes();
+  }
+  if (opts_.value_precision != ValuePrecision::kFp64) {
+    FBMPK_TSPAN(kPlan, "plan.pack_values");
+    const auto lv = std::span<const double>(split_.lower.values());
+    const auto uv = std::span<const double>(split_.upper.values());
+    const auto dv = std::span<const double>(split_.diag);
+    FBMPK_CHECK_CODE(
+        values_fit_fp32(lv) && values_fit_fp32(uv) && values_fit_fp32(dv),
+        ErrorCode::kUnsupported,
+        "matrix values exceed float range; "
+            << precision_name(opts_.value_precision)
+            << " storage needs every value finite and within float range");
+    values_.precision = opts_.value_precision;
+    values_.lower = PackedTriangleValues::build(lv, opts_.value_precision);
+    values_.upper = PackedTriangleValues::build(uv, opts_.value_precision);
+    values_.diag = PackedTriangleValues::build(dv, opts_.value_precision);
+    stats_.packed_value_bytes = values_.value_bytes();
+  }
+}
+
 DispatchRows MpkPlan::dispatch_rows() const {
   return make_dispatch_rows(split_,
                             opts_.index_compress ? &packed_ : nullptr,
@@ -252,51 +311,66 @@ bool tuned_config_stale(const TunedConfig& cfg, index_t runtime_threads) {
   return cfg.tuned_threads != runtime_threads;
 }
 
-void MpkPlan::run_power(std::span<const double> px, int k,
-                        std::span<double> py, Workspace& ws) const {
+bool MpkPlan::level_engine(ExecPath path) const {
+  return path == ExecPath::kEngine ||
+         (path == ExecPath::kDefault && use_level_engine());
+}
+
+template <class Rows, class X0, class TI, class Emit>
+void MpkPlan::level_sweep(const Rows& rows, const X0& x0, int k,
+                          SweepWorkspace<TI>& ws, Emit&& emit, ExecPath path,
+                          RunControl* ctl) const {
+  const LevelSweepSchedule& ls = level_sweep_schedule_;
+  if (path == ExecPath::kSerial)
+    fbmpk_level_sweep_rows<double, TI>(split_, ls, rows, x0, k, ws.fallback,
+                                       emit, nullptr, /*serial=*/true);
+  else if (level_engine(path))
+    fbmpk_level_engine_sweep_rows<double, TI>(split_, ls, rows, x0, k, ws,
+                                              emit, opts_.sweep.pin_threads,
+                                              ctl);
+  else
+    fbmpk_level_sweep_rows<double, TI>(split_, ls, rows, x0, k, ws.fallback,
+                                       emit, ctl);
+}
+
+template <class Emit>
+void MpkPlan::run_sweep(std::span<const double> px, int k, Workspace& ws,
+                        Emit&& emit, ExecPath path, RunControl* ctl) const {
+  if (level_plan()) {
+    // Scheduler-polymorphic rungs: kEngine forces the level engine,
+    // kBarrier the barrier stage walk (both poll ctl at stage
+    // boundaries), kSerial the one-thread stage walk — the renumbered
+    // storage has no natural sweep order. kDefault follows the plan's
+    // sync option.
+    if (use_dispatch())
+      level_sweep(dispatch_rows(), px, k, ws.sweep, emit, path, ctl);
+    else
+      level_sweep(ScalarRows<double>(split_), px, k, ws.sweep, emit, path,
+                  ctl);
+    return;
+  }
+  const bool serial = path == ExecPath::kSerial || !opts_.parallel;
+  const bool engine = !serial && (path == ExecPath::kEngine ||
+                                  (path == ExecPath::kDefault && use_engine()));
   if (use_dispatch()) {
     const DispatchRows rows = dispatch_rows();
-    if (!opts_.parallel) {
-      fbmpk_power_fast(split_, rows, px, k, py, ws.fb);
-      return;
-    }
-    if (k == 0) {
-      std::copy(px.begin(), px.end(), py.begin());
-      return;
-    }
-    double* yp = py.data();
-    auto emit = [&](int p, index_t i, double v) {
-      if (p == k) yp[i] = v;
-    };
-    if (opts_.scheduler == Scheduler::kLevels) {
-      if (use_level_engine())
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, px, k, ws.sweep, emit,
-                                      opts_.sweep.pin_threads);
-      else
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit);
-    } else if (use_engine())
+    if (serial)
+      fbmpk_sweep_btb_fast(split_, rows, px, k, ws.fb, emit);
+    else if (engine)
       fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads);
+                              ws.sweep, emit, opts_.sweep.pin_threads, ctl);
     else
-      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit);
-    return;
+      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit,
+                                ctl);
+  } else if (serial) {
+    fbmpk_sweep(split_, px, k, ws.fb, emit, opts_.variant);
+  } else if (engine) {
+    fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_,
+                            ScalarRows<double>(split_), px, k, ws.sweep, emit,
+                            opts_.sweep.pin_threads, ctl);
+  } else {
+    fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit, ctl);
   }
-  if (!opts_.parallel) {
-    fbmpk_power(split_, px, k, py, ws.fb, opts_.variant);
-    return;
-  }
-  if (opts_.scheduler == Scheduler::kLevels) {
-    if (use_level_engine())
-      fbmpk_level_engine_power(split_, levels_, level_sweep_schedule_, px, k,
-                               py, ws.sweep, opts_.sweep.pin_threads);
-    else
-      fbmpk_level_power(split_, levels_, px, k, py, ws.fb);
-  } else if (use_engine())
-    fbmpk_engine_power(split_, schedule_, sweep_schedule_, px, k, py,
-                       ws.sweep, opts_.sweep.pin_threads);
-  else
-    fbmpk_parallel_power(split_, schedule_, px, k, py, ws.fb);
 }
 
 void MpkPlan::run_power_path(std::span<const double> px, int k,
@@ -310,73 +384,24 @@ void MpkPlan::run_power_path(std::span<const double> px, int k,
   auto emit = [&](int p, index_t i, double v) {
     if (p == k) yp[i] = v;
   };
-
-  if (path == ExecPath::kSerial || !opts_.parallel) {
-    // Serial sweeps run outside any parallel region, so cancellation
-    // can safely unwind via a typed Error from the emit wrapper. The
-    // token is polled per row (one relaxed load); the heartbeat /
-    // stall checkpoint fires once per k boundary.
-    int last_p = 0;
-    auto cemit = [&](int p, index_t i, double v) {
-      if (ctl != nullptr) {
-        if (p != last_p) {
-          last_p = p;
-          (void)ctl->checkpoint();
-        }
-        if (ctl->cancelled())
-          throw Error(ctl->cancel_reason(), "serial sweep cancelled");
-      }
-      emit(p, i, v);
-    };
-    if (use_dispatch())
-      fbmpk_sweep_btb_fast(split_, dispatch_rows(), px, k, ws.fb, cemit);
-    else
-      fbmpk_sweep(split_, px, k, ws.fb, cemit, opts_.variant);
+  if (ctl == nullptr || (path != ExecPath::kSerial && opts_.parallel)) {
+    run_sweep(px, k, ws, emit, path, ctl);
     return;
   }
-  if (opts_.scheduler == Scheduler::kLevels) {
-    // Scheduler-polymorphic rungs: kEngine forces the level engine,
-    // kBarrier the per-level barrier kernel (both poll ctl at stage
-    // boundaries). kDefault follows the plan's sync option.
-    const bool lengine = path == ExecPath::kEngine ||
-                         (path == ExecPath::kDefault && use_level_engine());
-    if (use_dispatch()) {
-      const DispatchRows rows = dispatch_rows();
-      if (lengine)
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, px, k, ws.sweep, emit,
-                                      opts_.sweep.pin_threads, ctl);
-      else
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit,
-                               ctl);
-    } else if (lengine) {
-      fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                    ScalarRows<double>(split_), px, k,
-                                    ws.sweep, emit, opts_.sweep.pin_threads,
-                                    ctl);
-    } else {
-      fbmpk_level_sweep_rows(split_, levels_, ScalarRows<double>(split_), px,
-                             k, ws.fb, emit, ctl);
+  // Serial sweeps run outside any parallel region, so cancellation can
+  // safely unwind via a typed Error from the emit wrapper. The token is
+  // polled per row (one relaxed load); the heartbeat / stall checkpoint
+  // fires once per k boundary.
+  int last_p = 0;
+  run_sweep(px, k, ws, [&](int p, index_t i, double v) {
+    if (p != last_p) {
+      last_p = p;
+      (void)ctl->checkpoint();
     }
-    return;
-  }
-  const bool engine = path == ExecPath::kEngine ||
-                      (path == ExecPath::kDefault && use_engine());
-  if (use_dispatch()) {
-    const DispatchRows rows = dispatch_rows();
-    if (engine)
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads, ctl);
-    else
-      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit,
-                                ctl);
-  } else if (engine) {
-    fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_,
-                            ScalarRows<double>(split_), px, k, ws.sweep, emit,
-                            opts_.sweep.pin_threads, ctl);
-  } else {
-    fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit, ctl);
-  }
+    if (ctl->cancelled())
+      throw Error(ctl->cancel_reason(), "serial sweep cancelled");
+    emit(p, i, v);
+  }, ExecPath::kSerial);
 }
 
 Status MpkPlan::try_power(std::span<const double> x, int k,
@@ -392,7 +417,7 @@ Status MpkPlan::try_power(std::span<const double> x, int k,
       const bool levels = opts_.scheduler == Scheduler::kLevels;
       FBMPK_CHECK_CODE(
           opts_.parallel &&
-              (levels ? levels_.forward.num_levels > 0
+              (levels ? !level_sweep_schedule_.empty()
                       : !schedule_.block_ptr.empty()),
           ErrorCode::kUnsupported,
           "engine/barrier execution override needs a scheduled parallel "
@@ -449,70 +474,71 @@ Status MpkPlan::run_power_batch_chunk(const double* const* xs, int k,
     for (int b = 0; b < B; ++b) ys[b][dst] = v.v[b];
   };
 
-  if (path == ExecPath::kSerial || !opts_.parallel) {
-    // Serial batched sweep. Cancellation unwinds via a typed Error from
-    // the emit wrapper, as in run_power_path.
-    FbWorkspace<P> fbws;
-    int last_p = 0;
-    auto cemit = [&](int p, index_t i, const P& v) {
-      if (ctl != nullptr) {
-        if (p != last_p) {
-          last_p = p;
-          (void)ctl->checkpoint();
-        }
-        if (ctl->cancelled())
-          throw Error(ctl->cancel_reason(), "batched serial sweep cancelled");
+  // Serial batched sweeps unwind cancellation via a typed Error from
+  // this emit wrapper, as in run_power_path.
+  int last_p = 0;
+  auto cemit = [&](int p, index_t i, const P& v) {
+    if (ctl != nullptr) {
+      if (p != last_p) {
+        last_p = p;
+        (void)ctl->checkpoint();
       }
-      emit(p, i, v);
-    };
+      if (ctl->cancelled())
+        throw Error(ctl->cancel_reason(), "batched serial sweep cancelled");
+    }
+    emit(p, i, v);
+  };
+  const auto batch_rows = [&](auto&& f) {
     if (use_dispatch())
-      fbmpk_sweep_btb_fast(split_,
-                           make_batch_dispatch_rows<B>(
-                               split_, opts_.index_compress ? &packed_ : nullptr,
-                               &values_, batch_row_kernels(resolved_backend_),
-                               opts_.prefetch_dist),
-                           x0, k, fbws, cemit);
+      f(make_batch_dispatch_rows<B>(
+          split_, opts_.index_compress ? &packed_ : nullptr, &values_,
+          batch_row_kernels(resolved_backend_), opts_.prefetch_dist));
     else
-      fbmpk_sweep_btb_fast(split_, BatchScalarRows<B>(split_), x0, k, fbws,
-                           cemit);
-    return Status();
-  }
+      f(BatchScalarRows<B>(split_));
+  };
 
-  const bool levels = opts_.scheduler == Scheduler::kLevels;
-  const bool engine =
-      path == ExecPath::kEngine ||
-      (path == ExecPath::kDefault &&
-       (levels ? use_level_engine() : use_engine()));
-  const auto run = [&](const auto& rows) {
-    if (engine) {
-      SweepWorkspace<P> swws;
+  if (level_plan()) {
+    SweepWorkspace<P> swws;
+    if (level_engine(path)) {
       // Per-call workspace: skip the NUMA warm pass (the matrix arrays
       // are typically resident from prior single-vector runs, and the
       // head stage first-touches xy regardless).
       swws.resize(n_);
       swws.warmed = true;
-      if (levels)
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, x0, k, swws, emit,
-                                      opts_.sweep.pin_threads, ctl);
+    }
+    batch_rows([&](const auto& rows) {
+      if (path == ExecPath::kSerial)
+        level_sweep(rows, x0, k, swws, cemit, path, nullptr);
       else
-        fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, x0,
-                                k, swws, emit, opts_.sweep.pin_threads, ctl);
+        level_sweep(rows, x0, k, swws, emit, path, ctl);
+    });
+    return Status();
+  }
+
+  if (path == ExecPath::kSerial || !opts_.parallel) {
+    FbWorkspace<P> fbws;
+    batch_rows([&](const auto& rows) {
+      fbmpk_sweep_btb_fast(split_, rows, x0, k, fbws, cemit);
+    });
+    return Status();
+  }
+
+  const bool engine =
+      path == ExecPath::kEngine || (path == ExecPath::kDefault && use_engine());
+  batch_rows([&](const auto& rows) {
+    if (engine) {
+      SweepWorkspace<P> swws;
+      // Per-call workspace: skip the NUMA warm pass (see above).
+      swws.resize(n_);
+      swws.warmed = true;
+      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, x0, k,
+                              swws, emit, opts_.sweep.pin_threads, ctl);
     } else {
       FbWorkspace<P> fbws;
-      if (levels)
-        fbmpk_level_sweep_rows(split_, levels_, rows, x0, k, fbws, emit, ctl);
-      else
-        fbmpk_parallel_sweep_rows(split_, schedule_, rows, x0, k, fbws, emit,
-                                  ctl);
+      fbmpk_parallel_sweep_rows(split_, schedule_, rows, x0, k, fbws, emit,
+                                ctl);
     }
-  };
-  if (use_dispatch())
-    run(make_batch_dispatch_rows<B>(
-        split_, opts_.index_compress ? &packed_ : nullptr, &values_,
-        batch_row_kernels(resolved_backend_), opts_.prefetch_dist));
-  else
-    run(BatchScalarRows<B>(split_));
+  });
   return Status();
 }
 
@@ -527,7 +553,7 @@ Status MpkPlan::try_power_batch(const double* const* xs, index_t nvec, int k,
       const bool levels = opts_.scheduler == Scheduler::kLevels;
       FBMPK_CHECK_CODE(
           opts_.parallel &&
-              (levels ? levels_.forward.num_levels > 0
+              (levels ? !level_sweep_schedule_.empty()
                       : !schedule_.block_ptr.empty()),
           ErrorCode::kUnsupported,
           "engine/barrier execution override needs a scheduled parallel "
@@ -592,40 +618,9 @@ void MpkPlan::run_power_all(std::span<const double> px, int k,
   std::copy(px.begin(), px.end(), pout.begin());
   if (k == 0) return;
   double* op = pout.data();
-  auto emit = [&](int p, index_t i, double v) {
+  run_sweep(px, k, ws, [&](int p, index_t i, double v) {
     op[static_cast<std::size_t>(p) * n + i] = v;
-  };
-  if (use_dispatch()) {
-    const DispatchRows rows = dispatch_rows();
-    if (!opts_.parallel)
-      fbmpk_sweep_btb_fast(split_, rows, px, k, ws.fb, emit);
-    else if (opts_.scheduler == Scheduler::kLevels) {
-      if (use_level_engine())
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, px, k, ws.sweep, emit,
-                                      opts_.sweep.pin_threads);
-      else
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit);
-    } else if (use_engine())
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit);
-    return;
-  }
-  if (!opts_.parallel)
-    fbmpk_sweep(split_, px, k, ws.fb, emit, opts_.variant);
-  else if (opts_.scheduler == Scheduler::kLevels) {
-    if (use_level_engine())
-      fbmpk_level_engine_sweep(split_, levels_, level_sweep_schedule_, px, k,
-                               ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_level_sweep(split_, levels_, px, k, ws.fb, emit);
-  } else if (use_engine())
-    fbmpk_engine_sweep(split_, schedule_, sweep_schedule_, px, k, ws.sweep,
-                       emit, opts_.sweep.pin_threads);
-  else
-    fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit);
+  });
 }
 
 void MpkPlan::run_polynomial(std::span<const double> coeffs,
@@ -636,38 +631,7 @@ void MpkPlan::run_polynomial(std::span<const double> coeffs,
   if (k == 0) return;
   double* yp = py.data();
   const double* cp = coeffs.data();
-  auto emit = [&](int p, index_t i, double v) { yp[i] += cp[p] * v; };
-  if (use_dispatch()) {
-    const DispatchRows rows = dispatch_rows();
-    if (!opts_.parallel)
-      fbmpk_sweep_btb_fast(split_, rows, px, k, ws.fb, emit);
-    else if (opts_.scheduler == Scheduler::kLevels) {
-      if (use_level_engine())
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, px, k, ws.sweep, emit,
-                                      opts_.sweep.pin_threads);
-      else
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit);
-    } else if (use_engine())
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit);
-    return;
-  }
-  if (!opts_.parallel)
-    fbmpk_sweep(split_, px, k, ws.fb, emit, opts_.variant);
-  else if (opts_.scheduler == Scheduler::kLevels) {
-    if (use_level_engine())
-      fbmpk_level_engine_sweep(split_, levels_, level_sweep_schedule_, px, k,
-                               ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_level_sweep(split_, levels_, px, k, ws.fb, emit);
-  } else if (use_engine())
-    fbmpk_engine_sweep(split_, schedule_, sweep_schedule_, px, k, ws.sweep,
-                       emit, opts_.sweep.pin_threads);
-  else
-    fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit);
+  run_sweep(px, k, ws, [&](int p, index_t i, double v) { yp[i] += cp[p] * v; });
 }
 
 void MpkPlan::power(std::span<const double> x, int k, std::span<double> y,
@@ -678,13 +642,13 @@ void MpkPlan::power(std::span<const double> x, int k, std::span<double> y,
   FBMPK_TSPAN_ARGS(kSweep, "plan.power", {.k = k});
   FBMPK_TCOUNT("plan.power_calls", 1);
   if (perm_.is_identity()) {
-    run_power(x, k, y, ws);
+    run_power_path(x, k, y, ws, ExecPath::kDefault, nullptr);
     return;
   }
   ws.px.resize(x.size());
   ws.py.resize(y.size());
   permute_vector<double>(perm_, x, ws.px);
-  run_power(ws.px, k, ws.py, ws);
+  run_power_path(ws.px, k, ws.py, ws, ExecPath::kDefault, nullptr);
   unpermute_vector<double>(perm_, ws.py, y);
 }
 
@@ -767,18 +731,20 @@ KernelStatus MpkPlan::recurrence(std::span<const RecurrenceStep<double>> steps,
     auto emit = [&](int p, index_t i, double v) {
       if (p == k) yp[i] = v;
     };
-    if (opts_.parallel)
-      // The level scheduler has no recurrence kernel; the ABMC schedule
-      // is always available on parallel plans built with it disabled…
-      // for kLevels plans fall back to the serial sweep (identical
-      // numerics, no parallelism).
-      if (opts_.scheduler == Scheduler::kAbmc)
-        fbmpk_recurrence_parallel_sweep(split_, schedule_, steps, px, ws.fb,
-                                        emit);
-      else
-        fbmpk_recurrence_sweep(split_, steps, px, ws.fb, emit);
-    else
+    if (level_plan()) {
+      // No parallel recurrence kernel for the level scheduler: one
+      // thread walks the stages (identical numerics).
+      const LevelSweepSchedule& ls = level_sweep_schedule_;
+      fbmpk_recurrence_sweep(
+          split_, steps, px, ws.fb, emit,
+          [&](auto&& f) { ls.fwd.for_each_row(ls.num_threads, f); },
+          [&](auto&& f) { ls.bwd.for_each_row(ls.num_threads, f); });
+    } else if (opts_.parallel) {
+      fbmpk_recurrence_parallel_sweep(split_, schedule_, steps, px, ws.fb,
+                                      emit);
+    } else {
       fbmpk_recurrence_sweep(split_, steps, px, ws.fb, emit);
+    }
   };
 
   if (perm_.is_identity()) {
@@ -823,22 +789,8 @@ void MpkPlan::polynomial(std::span<const std::complex<double>> coeffs,
   for (std::size_t i = 0; i < n; ++i) acc[i] = coeffs[0] * px[i];
   if (k >= 1) {
     const std::complex<double>* cp = coeffs.data();
-    auto emit = [&](int p, index_t i, double v) { acc[i] += cp[p] * v; };
-    if (use_dispatch()) {
-      const DispatchRows rows = dispatch_rows();
-      if (!opts_.parallel)
-        fbmpk_sweep_btb_fast(split_, rows, px, k, ws.fb, emit);
-      else if (opts_.scheduler == Scheduler::kLevels)
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit);
-      else
-        fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb,
-                                  emit);
-    } else if (!opts_.parallel)
-      fbmpk_sweep(split_, px, k, ws.fb, emit, opts_.variant);
-    else if (opts_.scheduler == Scheduler::kLevels)
-      fbmpk_level_sweep(split_, levels_, px, k, ws.fb, emit);
-    else
-      fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit);
+    run_sweep(px, k, ws,
+              [&](int p, index_t i, double v) { acc[i] += cp[p] * v; });
   }
 
   if (perm_.is_identity())

@@ -53,10 +53,14 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size);
 enum class Scheduler {
   kAbmc,    ///< ABMC coloring (paper §III-D): permutes the matrix,
             ///< few barriers (2 x colors per pair)
-  kLevels,  ///< level scheduling (paper §VII): original order, no
-            ///< permutation; cache-blocked stages with point-to-point
-            ///< sync (reorder/level_blocking.hpp), or one barrier per
-            ///< dependency level under SweepSync::kBarrier
+  kLevels,  ///< level scheduling (paper §VII): cache-blocked stages
+            ///< of dependency levels (reorder/level_blocking.hpp) with
+            ///< point-to-point sync, or one barrier per stage under
+            ///< SweepSync::kBarrier. No ABMC reorder: the plan is
+            ///< renumbered so each thread's forward rows are
+            ///< contiguous — renumbered storage, unchanged arithmetic
+            ///< (results bitwise equal to the natural-order serial
+            ///< sweep)
   kAuto,    ///< resolved at build: a structural probe (mean level
             ///< width vs thread count) in MpkPlan::build, a measured
             ///< pick (autotune_scheduler) in build_autotuned_plan.
@@ -78,18 +82,20 @@ Scheduler parse_scheduler(const std::string& name);
 /// plan configuration.
 /// The rungs are scheduler-polymorphic: on an ABMC plan kEngine /
 /// kBarrier mean the color engine / per-color barrier kernel, on a
-/// level-scheduled plan the level engine / per-level barrier kernel.
+/// level-scheduled plan the level engine / per-stage barrier walk, and
+/// kSerial the one-thread stage walk — every level rung walks the one
+/// stage schedule.
 enum class ExecPath {
   kDefault = 0,  ///< the plan's own selection (options-driven)
   kEngine,       ///< persistent-threads p2p engine (needs a schedule)
-  kBarrier,      ///< barrier kernel (per color or per level)
+  kBarrier,      ///< barrier kernel (per color or per stage)
   kSerial,       ///< serial sweep (always available)
 };
 
 /// How a scheduled parallel sweep synchronizes between units of work
 /// (colors under ABMC, level stages under the level scheduler).
 enum class SweepSync {
-  kBarrier,       ///< one team barrier per color/level per sweep
+  kBarrier,       ///< one team barrier per color/stage per sweep
   kPointToPoint,  ///< persistent threads, per-thread epoch counters,
                   ///< precomputed schedule (docs/PARALLELISM.md)
 };
@@ -109,7 +115,8 @@ struct SweepOptions {
 /// Plan construction options.
 struct PlanOptions {
   /// Apply the ABMC reorder. Required for ABMC-scheduled parallel
-  /// execution; optional for the level scheduler.
+  /// execution; ignored by level-scheduled plans, which are renumbered
+  /// by thread ownership instead.
   bool reorder = true;
   /// ABMC parameters (block count default 512, per the paper).
   AbmcOptions abmc;
@@ -242,12 +249,17 @@ class MpkPlan {
   const Permutation& permutation() const { return perm_; }
   const AbmcOrdering& schedule() const { return schedule_; }
   const SweepSchedule& sweep_schedule() const { return sweep_schedule_; }
-  /// Dependency levels (populated for level-scheduled plans).
-  const LevelSchedulePair& levels() const { return levels_; }
-  /// Level-blocked p2p schedule (level scheduler + kPointToPoint only).
+  /// Level-blocked stage schedule (every parallel level-scheduled plan),
+  /// in the plan's renumbered rows: forward slot (t, s) is the range
+  /// part_ptr[slot(t, s)] .. part_ptr[slot(t, s) + 1].
   const LevelSweepSchedule& level_sweep_schedule() const {
     return level_sweep_schedule_;
   }
+  /// The (L, U, d) the sweeps read, in the plan's row numbering: ABMC
+  /// order for ABMC plans; for level-scheduled plans renumbered storage,
+  /// unchanged arithmetic — rows in ownership order, columns renamed,
+  /// each row's entries still in original column order (the CsrMatrix
+  /// Triangle constructor's invariant).
   const TriangularSplit<double>& split() const { return split_; }
   const PackedSplitIndex& packed_index() const { return packed_; }
   /// Reduced-precision value sidecar (empty for fp64 plans).
@@ -307,9 +319,9 @@ class MpkPlan {
 
   /// Three-term recurrence x_p = a_p A x_{p-1} + b_p x_{p-1} +
   /// c_p x_{p-2} (x_{-1} = 0): y = x_k with k = steps.size(). Covers
-  /// Chebyshev-stable polynomial bases at FBMPK traffic. Serial and
-  /// ABMC-scheduled plans only (the level scheduler falls back to the
-  /// ABMC/serial path by construction of the options). Returns a
+  /// Chebyshev-stable polynomial bases at FBMPK traffic. Parallel on
+  /// ABMC plans; level-scheduled plans run it on one thread in
+  /// stage-major order. Returns a
   /// breakdown status instead of propagating NaN: non-finite inputs
   /// are rejected before the sweep, non-finite iterates are reported
   /// after it (y is written either way).
@@ -340,10 +352,15 @@ class MpkPlan {
     return opts_.sweep.sync == SweepSync::kPointToPoint &&
            !sweep_schedule_.empty();
   }
+  bool level_plan() const {
+    return opts_.parallel && opts_.scheduler == Scheduler::kLevels;
+  }
   bool use_level_engine() const {
     return opts_.sweep.sync == SweepSync::kPointToPoint &&
            !level_sweep_schedule_.empty();
   }
+  /// Whether a level-scheduled sweep along `path` runs the engine.
+  bool level_engine(ExecPath path) const;
   /// True when the sweeps route through the runtime-dispatched row
   /// kernels (non-scalar backend and/or compressed indices) instead of
   /// the exact fb_detail path.
@@ -353,9 +370,28 @@ class MpkPlan {
            opts_.value_precision != ValuePrecision::kFp64;
   }
   DispatchRows dispatch_rows() const;
+  /// Build the level-blocked schedule for `threads` and renumber the
+  /// plan by its forward slot order (pi = fwd.part_rows), applying pi
+  /// to L, U, d and perm_. A plan already renumbered is first returned
+  /// to the original order, so the result equals a fresh build.
+  void renumber_by_ownership(index_t threads);
+  /// Build the packed index and value sidecars the options ask for from
+  /// the current split_ (again after a renumbering: they follow its
+  /// numbering).
+  void pack_sidecars();
+  /// Level-scheduled sweep along `path`: the engine (kEngine, or
+  /// kDefault on a point-to-point plan), the barrier stage walk, or
+  /// the one-thread stage walk (kSerial, where emit may throw).
+  template <class Rows, class X0, class TI, class Emit>
+  void level_sweep(const Rows& rows, const X0& x0, int k,
+                   SweepWorkspace<TI>& ws, Emit&& emit, ExecPath path,
+                   RunControl* ctl) const;
+  /// The sweep `path` selects (see ExecPath), with an arbitrary emit.
+  template <class Emit>
+  void run_sweep(std::span<const double> px, int k, Workspace& ws,
+                 Emit&& emit, ExecPath path = ExecPath::kDefault,
+                 RunControl* ctl = nullptr) const;
 
-  void run_power(std::span<const double> px, int k, std::span<double> py,
-                 Workspace& ws) const;
   void run_power_path(std::span<const double> px, int k,
                       std::span<double> py, Workspace& ws, ExecPath path,
                       RunControl* ctl) const;
@@ -372,11 +408,11 @@ class MpkPlan {
   index_t n_ = 0;
   PlanOptions opts_;
   PlanStats stats_;
-  Permutation perm_;         ///< identity when reorder is off
+  Permutation perm_;         ///< new -> original row (identity when
+                             ///< neither reordered nor level-scheduled)
   AbmcOrdering schedule_;    ///< empty when reorder is off
-  LevelSchedulePair levels_; ///< populated for the level scheduler
   SweepSchedule sweep_schedule_;  ///< ABMC point-to-point sync only
-  LevelSweepSchedule level_sweep_schedule_;  ///< levels p2p sync only
+  LevelSweepSchedule level_sweep_schedule_;  ///< level-scheduled plans
   TriangularSplit<double> split_;
   PackedSplitIndex packed_;  ///< populated when index_compress is on
   PackedSplitValues values_; ///< populated when value_precision != fp64

@@ -19,7 +19,7 @@ namespace fbmpk {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Format v8 (see docs/ROBUSTNESS.md):
+// Format v9 (see docs/ROBUSTNESS.md):
 //
 //   [ magic "FBMPKPLN" | u32 version | u32 index_width |
 //     u64 payload_size | u32 payload_crc32 ]  -- fixed header
@@ -49,7 +49,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 constexpr char kMagic[8] = {'F', 'B', 'M', 'P', 'K', 'P', 'L', 'N'};
-constexpr std::uint32_t kVersion = 8;
+constexpr std::uint32_t kVersion = 9;
 
 // Section tags, in the order they are written.
 enum : std::uint32_t {
@@ -229,53 +229,31 @@ void write_csr(BlobWriter& w, const CsrMatrix<double>& m) {
   w.vec(AlignedVector<double>(m.values().begin(), m.values().end()));
 }
 
-CsrMatrix<double> read_csr(BlobReader& r) {
+/// A CSR payload; with a non-empty `base_of` a renumbered `tri`
+/// triangle (level-scheduled plans), validated in its base numbering.
+CsrMatrix<double> read_csr(BlobReader& r,
+                           std::span<const index_t> base_of = {},
+                           Triangle tri = Triangle::kLower) {
   const auto rows = r.pod<index_t>();
   const auto cols = r.pod<index_t>();
   auto rp = r.vec<AlignedVector<index_t>>();
   auto ci = r.vec<AlignedVector<index_t>>();
   auto va = r.vec<AlignedVector<double>>();
-  // The CSR constructor re-validates the structure; surface its
+  // The CSR constructors re-validate the structure; surface their
   // verdict as plan corruption rather than an internal error.
   try {
+    if (!base_of.empty()) {
+      FBMPK_CHECK_CODE(rows == cols, ErrorCode::kInvalidMatrix,
+                       "renumbered triangle is not square");
+      return CsrMatrix<double>(tri, base_of, rows, std::move(rp),
+                               std::move(ci), std::move(va));
+    }
     return CsrMatrix<double>(rows, cols, std::move(rp), std::move(ci),
                              std::move(va));
   } catch (const Error& e) {
     throw Error(ErrorCode::kCorruptPlan,
                 std::string("corrupt CSR payload in plan: ") + e.what());
   }
-}
-
-void write_level_schedule(BlobWriter& w, const LevelSchedule& s) {
-  w.pod(s.num_levels);
-  w.vec(s.level_ptr);
-  w.vec(s.rows);
-}
-
-LevelSchedule read_level_schedule(BlobReader& r) {
-  LevelSchedule s;
-  s.num_levels = r.pod<index_t>();
-  s.level_ptr = r.vec<std::vector<index_t>>();
-  s.rows = r.vec<std::vector<index_t>>();
-  FBMPK_CHECK_CODE(
-      s.num_levels >= 0 &&
-          (s.level_ptr.empty()
-               ? s.num_levels == 0 && s.rows.empty()
-               : s.level_ptr.size() ==
-                     static_cast<std::size_t>(s.num_levels) + 1),
-      ErrorCode::kCorruptPlan, "level schedule shape mismatch");
-  if (!s.level_ptr.empty()) {
-    FBMPK_CHECK_CODE(s.level_ptr.front() == 0 &&
-                         s.level_ptr.back() ==
-                             static_cast<index_t>(s.rows.size()),
-                     ErrorCode::kCorruptPlan,
-                     "level schedule pointer endpoints invalid");
-    for (std::size_t i = 1; i < s.level_ptr.size(); ++i)
-      FBMPK_CHECK_CODE(s.level_ptr[i - 1] <= s.level_ptr[i],
-                       ErrorCode::kCorruptPlan,
-                       "level schedule pointers not monotone");
-  }
-  return s;
 }
 
 void write_level_direction(BlobWriter& w, const LevelBlockDirection& d) {
@@ -422,11 +400,8 @@ void save_plan(const MpkPlan& plan, std::ostream& out) {
   w.vec(ss.all_deps);
   w.vec(ss.load);
 
+  // The level-blocked stage schedule (empty for ABMC and serial plans).
   w.begin_section(kSecLevels);
-  write_level_schedule(w, plan.levels_.forward);
-  write_level_schedule(w, plan.levels_.backward);
-  // The level-blocked point-to-point schedule rides in the same
-  // section (empty for ABMC or barrier-sync plans).
   const LevelSweepSchedule& ls = plan.level_sweep_schedule_;
   w.pod(ls.num_threads);
   write_level_direction(w, ls.fwd);
@@ -675,8 +650,6 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   r.end_section(sec, "sweep");
 
   sec = r.begin_section(kSecLevels, "levels");
-  plan.levels_.forward = read_level_schedule(r);
-  plan.levels_.backward = read_level_schedule(r);
   LevelSweepSchedule& ls = plan.level_sweep_schedule_;
   ls.num_threads = r.pod<index_t>();
   FBMPK_CHECK_CODE(ls.num_threads >= 0, ErrorCode::kCorruptPlan,
@@ -689,16 +662,20 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   ls.bwd_deps = r.vec<std::vector<LevelDep>>();
   ls.bwd_fdep_ptr = r.vec<std::vector<index_t>>();
   ls.bwd_fdeps = r.vec<std::vector<LevelDep>>();
-  FBMPK_CHECK_CODE(
-      ls.empty() ||
-          (plan.opts_.parallel && plan.opts_.scheduler == Scheduler::kLevels),
-      ErrorCode::kCorruptPlan,
-      "plan carries a level-blocked schedule but is not level-scheduled");
+  FBMPK_CHECK_CODE(ls.empty() || plan.level_plan(), ErrorCode::kCorruptPlan,
+                   "plan carries a level-blocked schedule but is not "
+                   "level-scheduled");
+  FBMPK_CHECK_CODE(!ls.empty() || !plan.level_plan(), ErrorCode::kCorruptPlan,
+                   "level-scheduled plan carries no stage schedule");
   r.end_section(sec, "levels");
 
+  // A level plan's triangles are stored renumbered (perm_ maps each
+  // stored row to the original row they are strict triangles in).
+  const std::span<const index_t> base_of =
+      plan.level_plan() ? plan.perm_.order() : std::span<const index_t>{};
   sec = r.begin_section(kSecSplit, "split");
-  plan.split_.lower = read_csr(r);
-  plan.split_.upper = read_csr(r);
+  plan.split_.lower = read_csr(r, base_of, Triangle::kLower);
+  plan.split_.upper = read_csr(r, base_of, Triangle::kUpper);
   plan.split_.diag = r.vec<AlignedVector<double>>();
   r.end_section(sec, "split");
 
@@ -825,30 +802,21 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   }
 
   // Same discipline for the level-blocked schedule: structurally
-  // re-validate a loaded one against the split, and rebuild it when it
-  // was built for a different thread count.
-  if (plan.opts_.parallel && plan.opts_.scheduler == Scheduler::kLevels) {
-    FBMPK_CHECK_CODE(
-        plan.levels_.forward.rows.size() ==
-                static_cast<std::size_t>(plan.n_) &&
-            plan.levels_.backward.rows.size() ==
-                static_cast<std::size_t>(plan.n_),
-        ErrorCode::kCorruptPlan,
-        "level schedule does not cover the matrix");
-    FBMPK_CHECK_CODE(plan.level_sweep_schedule_.empty() ||
-                         validate_level_sweep_schedule(
-                             plan.level_sweep_schedule_, plan.split_),
+  // re-validate a loaded one against the (renumbered) split, and
+  // rebuild the schedule, the renumbering and the sidecars (which hold
+  // the split's rows in its numbering) together when it was built for
+  // a different thread count.
+  if (plan.level_plan()) {
+    FBMPK_CHECK_CODE(validate_level_sweep_schedule(plan.level_sweep_schedule_,
+                                                   plan.split_),
                      ErrorCode::kCorruptPlan,
                      "level-blocked schedule fails structural validation");
-    if (plan.opts_.sweep.sync == SweepSync::kPointToPoint) {
-      const index_t want = plan.opts_.sweep.threads > 0
-                               ? plan.opts_.sweep.threads
-                               : static_cast<index_t>(max_threads());
-      if (plan.level_sweep_schedule_.num_threads != want) {
-        plan.level_sweep_schedule_ =
-            build_level_sweep_schedule(plan.levels_, plan.split_, want);
-        plan.stats_.sweep_threads = want;
-      }
+    const index_t want = plan.opts_.sweep.threads > 0
+                             ? plan.opts_.sweep.threads
+                             : static_cast<index_t>(max_threads());
+    if (plan.level_sweep_schedule_.num_threads != want) {
+      plan.renumber_by_ownership(want);
+      plan.pack_sidecars();
     }
   }
 

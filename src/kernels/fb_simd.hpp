@@ -256,23 +256,6 @@ void fbmpk_sweep_btb_fast(const TriangularSplit<double>& s, const Rows& rows,
   }
 }
 
-/// y = A^k x0, serial fast. k = 0 copies x0.
-template <class Rows>
-void fbmpk_power_fast(const TriangularSplit<double>& s, const Rows& rows,
-                      std::span<const double> x0, int k, std::span<double> y,
-                      FbWorkspace<double>& ws) {
-  FBMPK_CHECK(y.size() == x0.size());
-  FBMPK_CHECK(k >= 0);
-  if (k == 0) {
-    std::copy(x0.begin(), x0.end(), y.begin());
-    return;
-  }
-  double* yp = y.data();
-  fbmpk_sweep_btb_fast(s, rows, x0, k, ws, [&](int p, index_t i, double v) {
-    if (p == k) yp[i] = v;
-  });
-}
-
 /// Krylov basis, serial fast: out[p*n + i] = (A^p x0)[i], p in [0, k].
 template <class Rows>
 void fbmpk_power_all_fast(const TriangularSplit<double>& s, const Rows& rows,

@@ -1,19 +1,22 @@
 // Level-scheduled parallel FBMPK — the alternative scheduler from the
-// paper's discussion (§VII), built on reorder/level_schedule.hpp.
+// paper's discussion (§VII) — as one walk of the level-blocked stage
+// schedule (reorder/level_blocking.hpp).
 //
-// Unlike the ABMC kernel this operates on the ORIGINAL matrix order: the
-// forward sweep executes dependency levels of L in sequence (rows within
-// a level in parallel), the backward sweep executes levels of U. The
-// per-row arithmetic is the shared fb_detail code, so results are
-// bitwise identical to serial FBMPK on the same matrix.
+// The walk is head, head, {F_0..F_{SF-1}, B_0..B_{SB-1}} x pairs,
+// [tail]. Inside a stage, slot (t, s) holds rows that depend only on
+// earlier stages or on earlier rows of the same slot, so the slots of
+// one stage are independent units. This header runs them with one team
+// barrier per stage, handing the schedule's slots round-robin to
+// whatever team the runtime delivers — or, with `serial` set, on the
+// calling thread in stage-major slot order. The point-to-point engine
+// (fbmpk_level_engine.hpp) walks the same stages with per-thread epoch
+// waits and falls back here. The per-row arithmetic is the shared
+// fb_detail code, so every walk is bitwise identical to serial FBMPK
+// on the same rows, in whatever numbering the split is stored.
 //
-// This header holds the barrier variant: one team barrier per level per
-// sweep. It is the fallback for the point-to-point level engine
-// (fbmpk_level_engine.hpp), the same relationship the per-color barrier
-// kernel has to the ABMC engine. Both are templated on the Rows policy
-// (ScalarRows for the exact stream, DispatchRows for SIMD + packed
-// indices) and on the iterate type TI (double, or Pack<double, B> for
-// batched sweeps).
+// Templated on the Rows policy (ScalarRows for the exact stream,
+// DispatchRows for SIMD + packed indices) and on the iterate type TI
+// (double, or Pack<double, B> for batched sweeps).
 #pragma once
 
 #include <span>
@@ -21,79 +24,84 @@
 #include "kernels/fb_detail.hpp"
 #include "kernels/fbmpk.hpp"
 #include "kernels/fbmpk_parallel.hpp"
-#include "reorder/level_schedule.hpp"
+#include "reorder/level_blocking.hpp"
 #include "sparse/split.hpp"
 #include "support/error.hpp"
 #include "support/threading.hpp"
 
 namespace fbmpk {
 
-/// Level-scheduled sweep over an explicit row policy; same Emit and ctl
-/// contracts as fbmpk_parallel_sweep_rows. Cancellation is polled at
-/// stage boundaries; cancelled threads skip row work but still meet
-/// every worksharing construct.
+/// Stage walk over an explicit row policy; same Emit and ctl contracts
+/// as fbmpk_parallel_sweep_rows. Cancellation is polled at stage
+/// boundaries; cancelled threads skip row work but still meet every
+/// barrier. With `serial` the walk runs on the calling thread, outside
+/// any parallel region, and emit may throw (the serial rung's
+/// cancellation path).
 template <class T, class TI, class Rows, class X0, class Emit>
 void fbmpk_level_sweep_rows(const TriangularSplit<T>& s,
-                            const LevelSchedulePair& sched, const Rows& rows,
+                            const LevelSweepSchedule& sched, const Rows& rows,
                             const X0& x0, int k, FbWorkspace<TI>& ws,
-                            Emit&& emit, RunControl* ctl = nullptr) {
+                            Emit&& emit, RunControl* ctl = nullptr,
+                            bool serial = false) {
   const index_t n = s.lower.rows();
   FBMPK_CHECK(s.upper.rows() == n &&
               s.diag.size() == static_cast<std::size_t>(n));
   FBMPK_CHECK(x0.size() == static_cast<std::size_t>(n));
   FBMPK_CHECK(k >= 1);
   FBMPK_CHECK_MSG(
-      sched.forward.rows.size() == static_cast<std::size_t>(n) &&
-          sched.backward.rows.size() == static_cast<std::size_t>(n),
+      !sched.empty() &&
+          sched.fwd.part_rows.size() == static_cast<std::size_t>(n) &&
+          sched.bwd.part_rows.size() == static_cast<std::size_t>(n),
       "level schedule does not cover the matrix");
   ws.resize(n);
 
   TI* xy = ws.xy.data();
   TI* tmp = ws.tmp.data();
-
   const int pairs = k / 2;
+  const index_t T_n = sched.num_threads;
 
-#ifdef _OPENMP
-#pragma omp parallel default(shared)
-#endif
-  {
+  const auto walk = [&](int tid, int team) {
+    const auto barrier = [team] {
+      if (team > 1) team_barrier();
+    };
     const auto stage_dead = [&]() -> bool {
       if (ctl == nullptr) return false;
-      if (thread_id() == 0) return ctl->checkpoint();
+      if (tid == 0) return ctl->checkpoint();
       return ctl->cancelled();
     };
-    bool dead = stage_dead();
+    // Head/tail rows carry no intra-sweep dependency: static chunks.
+    const ThreadRange own = static_chunk(n, tid, team);
+    const auto for_chunk = [&](auto&& row_fn) {
+      for (auto i = static_cast<index_t>(own.begin); i < own.end; ++i)
+        row_fn(i);
+    };
+    // Stage s of one direction: this thread's share of the slots.
+    const auto for_stage = [&](const LevelBlockDirection& d, index_t st,
+                               auto&& row_fn) {
+      for (index_t t = tid; t < T_n; t += team) {
+        const std::size_t slot = d.slot(t, st);
+        for (index_t q = d.part_ptr[slot]; q < d.part_ptr[slot + 1]; ++q)
+          row_fn(d.part_rows[q]);
+      }
+    };
 
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (index_t i = 0; i < n; ++i) {
-      if (dead) continue;
-      xy[2 * i] = x0[i];
-    }
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (index_t i = 0; i < n; ++i) {
-      if (dead) continue;
+    bool dead = stage_dead();
+    if (!dead) for_chunk([&](index_t i) { xy[2 * i] = x0[i]; });
+    barrier();
+    if (!dead) for_chunk([&](index_t i) {
       TI sum{};
       rows.u_dot1(i, xy, 0, sum);
       tmp[i] = sum;
-    }
+    });
 
     for (int it = 0; it < pairs; ++it) {
       const int p_odd = 2 * it + 1;
       const int p_even = 2 * it + 2;
 
-      for (index_t l = 0; l < sched.forward.num_levels; ++l) {
+      for (index_t sf = 0; sf < sched.fwd.num_stages; ++sf) {
+        barrier();
         dead = dead || stage_dead();
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-        for (index_t r = sched.forward.level_ptr[l];
-             r < sched.forward.level_ptr[l + 1]; ++r) {
-          if (dead) continue;
-          const index_t i = sched.forward.rows[r];
+        if (!dead) for_stage(sched.fwd, sf, [&](index_t i) {
           const auto di = rows.diag(i);
           TI sum0 = madd(di, xy[2 * i], tmp[i]);
           TI sum1{};
@@ -101,19 +109,14 @@ void fbmpk_level_sweep_rows(const TriangularSplit<T>& s,
           xy[2 * i + 1] = sum0;
           emit(p_odd, i, sum0);
           tmp[i] = madd(di, sum0, sum1);
-        }  // barrier: level l done before l+1
+        });
       }
 
       const bool prime_next = !(it == pairs - 1 && k % 2 == 0);
-      for (index_t l = 0; l < sched.backward.num_levels; ++l) {
+      for (index_t sb = 0; sb < sched.bwd.num_stages; ++sb) {
+        barrier();
         dead = dead || stage_dead();
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-        for (index_t r = sched.backward.level_ptr[l];
-             r < sched.backward.level_ptr[l + 1]; ++r) {
-          if (dead) continue;
-          const index_t i = sched.backward.rows[r];
+        if (!dead) for_stage(sched.bwd, sb, [&](index_t i) {
           TI sum0 = tmp[i];
           if (prime_next) {
             TI sum1{};
@@ -126,40 +129,32 @@ void fbmpk_level_sweep_rows(const TriangularSplit<T>& s,
             xy[2 * i] = sum0;
             emit(p_even, i, sum0);
           }
-        }
+        });
       }
     }
 
     if (k % 2 == 1) {
+      barrier();
       dead = dead || stage_dead();
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-      for (index_t i = 0; i < n; ++i) {
-        if (dead) continue;
+      if (!dead) for_chunk([&](index_t i) {
         TI sum = madd(rows.diag(i), xy[2 * i], tmp[i]);
         rows.l_dot1(i, xy, 0, sum);
         emit(k, i, sum);
-      }
+      });
     }
-  }
+  };
+
+  if (serial)
+    walk(0, 1);
+  else
+    parallel_region(walk);
 }
 
-/// Level-scheduled sweep with the exact scalar row policy — bitwise
-/// identical to serial FBMPK. Same Emit contract as the other kernels.
-template <class T, class Emit>
-void fbmpk_level_sweep(const TriangularSplit<T>& s,
-                       const LevelSchedulePair& sched,
-                       std::span<const T> x0, int k, FbWorkspace<T>& ws,
-                       Emit&& emit) {
-  fbmpk_level_sweep_rows<T, T>(s, sched, ScalarRows<T>(s), x0, k, ws,
-                               std::forward<Emit>(emit));
-}
-
-/// y = A^k x0 with the level schedule. k = 0 copies x0.
+/// y = A^k x0 with the barrier stage walk and the exact scalar row
+/// policy — bitwise identical to serial FBMPK. k = 0 copies x0.
 template <class T>
 void fbmpk_level_power(const TriangularSplit<T>& s,
-                       const LevelSchedulePair& sched, std::span<const T> x0,
+                       const LevelSweepSchedule& sched, std::span<const T> x0,
                        int k, std::span<T> y, FbWorkspace<T>& ws) {
   FBMPK_CHECK(y.size() == x0.size());
   FBMPK_CHECK(k >= 0);
@@ -168,9 +163,10 @@ void fbmpk_level_power(const TriangularSplit<T>& s,
     return;
   }
   T* yp = y.data();
-  fbmpk_level_sweep(s, sched, x0, k, ws, [&](int p, index_t i, T v) {
-    if (p == k) yp[i] = v;
-  });
+  fbmpk_level_sweep_rows<T, T>(s, sched, ScalarRows<T>(s), x0, k, ws,
+                               [&](int p, index_t i, T v) {
+                                 if (p == k) yp[i] = v;
+                               });
 }
 
 }  // namespace fbmpk

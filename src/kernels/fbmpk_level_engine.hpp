@@ -1,6 +1,9 @@
 // Persistent-threads level-blocked FBMPK engine: the point-to-point
-// counterpart of the barrier level kernel (fbmpk_level.hpp), driven by
-// the LevelSweepSchedule from reorder/level_blocking.hpp.
+// walk of the stage schedule whose barrier and serial walks live in
+// fbmpk_level.hpp, driven by the LevelSweepSchedule from
+// reorder/level_blocking.hpp. Plans store the split renumbered so each
+// thread's forward rows are one contiguous range (docs/PARALLELISM.md);
+// the engine itself walks the schedule's slots in any numbering.
 //
 // Epoch protocol — the ABMC engine's (fbmpk_parallel.hpp), with stages
 // in place of colors. With SF forward and SB backward stages and
@@ -43,7 +46,7 @@ namespace fbmpk {
 /// Point-to-point level engine. Returns false without touching any
 /// output when it cannot run safely (schedule empty, row-count
 /// mismatch, or the OpenMP runtime delivering a smaller team); the
-/// caller then falls back to the barrier level kernel.
+/// caller then falls back to the barrier stage walk.
 template <class T, class TI, class Rows, class X0, class Emit>
 bool fbmpk_level_engine_try_sweep_rows(const TriangularSplit<T>& s,
                                        const LevelSweepSchedule& sched,
@@ -257,11 +260,10 @@ bool fbmpk_level_engine_try_sweep_rows(const TriangularSplit<T>& s,
   return true;
 }
 
-/// Level engine sweep with automatic fallback to the barrier level
-/// kernel; identical results either way (same per-row kernels).
+/// Level engine sweep with automatic fallback to the barrier stage
+/// walk; identical results either way (same stages, same row kernels).
 template <class T, class TI, class Rows, class X0, class Emit>
 void fbmpk_level_engine_sweep_rows(const TriangularSplit<T>& s,
-                                   const LevelSchedulePair& levels,
                                    const LevelSweepSchedule& sched,
                                    const Rows& rows, const X0& x0, int k,
                                    SweepWorkspace<TI>& ws, Emit&& emit,
@@ -269,27 +271,13 @@ void fbmpk_level_engine_sweep_rows(const TriangularSplit<T>& s,
                                    RunControl* ctl = nullptr) {
   if (!fbmpk_level_engine_try_sweep_rows(s, sched, rows, x0, k, ws,
                                          pin_threads, emit, ctl))
-    fbmpk_level_sweep_rows<T, TI>(s, levels, rows, x0, k, ws.fallback, emit,
+    fbmpk_level_sweep_rows<T, TI>(s, sched, rows, x0, k, ws.fallback, emit,
                                   ctl);
 }
 
-/// Level engine sweep with the exact scalar row policy.
-template <class T, class Emit>
-void fbmpk_level_engine_sweep(const TriangularSplit<T>& s,
-                              const LevelSchedulePair& levels,
-                              const LevelSweepSchedule& sched,
-                              std::span<const T> x0, int k,
-                              SweepWorkspace<T>& ws, Emit&& emit,
-                              bool pin_threads = false) {
-  fbmpk_level_engine_sweep_rows<T, T>(s, levels, sched, ScalarRows<T>(s), x0,
-                                      k, ws, std::forward<Emit>(emit),
-                                      pin_threads);
-}
-
-/// y = A^k x0 via the level engine.
+/// y = A^k x0 via the level engine (exact scalar row policy).
 template <class T>
 void fbmpk_level_engine_power(const TriangularSplit<T>& s,
-                              const LevelSchedulePair& levels,
                               const LevelSweepSchedule& sched,
                               std::span<const T> x0, int k, std::span<T> y,
                               SweepWorkspace<T>& ws,
@@ -301,8 +289,8 @@ void fbmpk_level_engine_power(const TriangularSplit<T>& s,
     return;
   }
   T* yp = y.data();
-  fbmpk_level_engine_sweep(
-      s, levels, sched, x0, k, ws,
+  fbmpk_level_engine_sweep_rows<T, T>(
+      s, sched, ScalarRows<T>(s), x0, k, ws,
       [&](int p, index_t i, T v) {
         if (p == k) yp[i] = v;
       },

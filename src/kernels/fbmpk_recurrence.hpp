@@ -22,6 +22,7 @@
 
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "kernels/fb_detail.hpp"
 #include "kernels/fbmpk.hpp"
@@ -66,14 +67,17 @@ KernelStatus check_finite(std::span<const T> v, const char* detail) {
   return KernelStatus::success();
 }
 
-/// Serial recurrence sweep (BtB layout). steps.size() = k >= 1;
-/// emit(p, i, v) fires once per step p in [1, k] and row i with
-/// v = x_p[i].
-template <class T, class Emit>
+/// Serial recurrence sweep (BtB layout) in an explicit row order:
+/// fwd_rows(f) / bwd_rows(f) call f(i) on every row in a valid order
+/// for the forward sweep over L / the backward sweep over U (a level
+/// plan's stage-major walk). steps.size() = k >= 1; emit(p, i, v) fires
+/// once per step p in [1, k] and row i with v = x_p[i].
+template <class T, class Emit, class FwdRows, class BwdRows>
 void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
                             std::span<const RecurrenceStep<T>> steps,
                             std::span<const T> x0, FbWorkspace<T>& ws,
-                            Emit&& emit) {
+                            Emit&& emit, FwdRows&& fwd_rows,
+                            BwdRows&& bwd_rows) {
   const index_t n = s.lower.rows();
   FBMPK_CHECK(s.upper.rows() == n &&
               s.diag.size() == static_cast<std::size_t>(n));
@@ -112,7 +116,7 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
     const RecurrenceStep<T> ce = steps[p_even - 1];
 
     // Forward over L: finish x_{p_odd}, prime tmp = (L + D)·x_{p_odd}.
-    for (index_t i = 0; i < n; ++i) {
+    fwd_rows([&](index_t i) {
       T raw = tmp[i] + d[i] * xy[2 * i];  // (A x_even)[i] accumulator
       T sum1{};
       detail::row_dot2_btb(lci, lva, lrp[i], lrp[i + 1], xy, raw, sum1, tr);
@@ -121,11 +125,11 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
       xy[2 * i + 1] = v;
       emit(p_odd, i, v);
       tmp[i] = sum1 + d[i] * v;
-    }
+    });
 
     // Backward over U: finish x_{p_even}, prime tmp = U·x_{p_even}.
     const bool prime_next = !(it == pairs - 1 && k % 2 == 0);
-    for (index_t i = n; i-- > 0;) {
+    bwd_rows([&](index_t i) {
       T raw = tmp[i];
       T v;
       if (prime_next) {
@@ -144,7 +148,7 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
         xy[2 * i] = v;
         emit(p_even, i, v);
       }
-    }
+    });
   }
 
   if (k % 2 == 1) {
@@ -157,6 +161,24 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
            ck.alpha * raw + ck.beta * xy[2 * i] + ck.gamma * xy[2 * i + 1]);
     }
   }
+}
+
+/// Serial recurrence sweep in the natural order (rows ascending
+/// forward, descending backward).
+template <class T, class Emit>
+void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
+                            std::span<const RecurrenceStep<T>> steps,
+                            std::span<const T> x0, FbWorkspace<T>& ws,
+                            Emit&& emit) {
+  const index_t n = s.lower.rows();
+  fbmpk_recurrence_sweep(
+      s, steps, x0, ws, std::forward<Emit>(emit),
+      [n](auto&& f) {
+        for (index_t i = 0; i < n; ++i) f(i);
+      },
+      [n](auto&& f) {
+        for (index_t i = n; i-- > 0;) f(i);
+      });
 }
 
 /// Parallel recurrence sweep under an ABMC color schedule (same

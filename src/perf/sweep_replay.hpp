@@ -89,8 +89,9 @@ ReplayPrediction replay_fbmpk_traffic(const CsrMatrix<double>& a,
 /// matrix order — `fwd` levels for the forward-shaped stages (head,
 /// F, tail), `bwd` levels for the backward stages — with each level's
 /// sampled rows dealt round-robin across the simulated cores. Prices
-/// the level scheduler's access pattern (no permutation, level-order
-/// traversal) against ABMC's without building either plan; the
+/// a level-order traversal of the unpermuted matrix (an approximation:
+/// level plans store rows renumbered by thread ownership) against
+/// ABMC's without building either plan; the
 /// scheduler race (core/autotune.hpp, autotune_scheduler) ranks the
 /// two predictions before timing.
 ReplayPrediction replay_fbmpk_level_traffic(const CsrMatrix<double>& a,

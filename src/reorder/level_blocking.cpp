@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <queue>
 #include <utility>
 
 #include "support/error.hpp"
@@ -75,39 +74,41 @@ Placement placement_of(const LevelBlockDirection& d, index_t num_threads,
   return p;
 }
 
-/// Dependency levels straight from a triangle pattern (forward_levels /
-/// backward_levels minus the CsrMatrix wrapper — validation only has
-/// spans).
-std::vector<index_t> levels_from_pattern(std::span<const index_t> rp,
-                                         std::span<const index_t> ci,
-                                         index_t n, bool upper_triangle) {
+/// Dependency levels of one direction's triangle, computed in the
+/// direction's stage-major walk — a topological order of the triangle
+/// once edges_respect_stages holds, so this works in any numbering
+/// (plans store their triangles renumbered by thread ownership).
+std::vector<index_t> levels_in_walk_order(const LevelBlockDirection& d,
+                                          index_t num_threads,
+                                          std::span<const index_t> rp,
+                                          std::span<const index_t> ci,
+                                          index_t n) {
   std::vector<index_t> level_of(static_cast<std::size_t>(n), 0);
-  if (upper_triangle) {
-    for (index_t i = n; i-- > 0;) {
-      index_t lvl = 0;
-      for (index_t q = rp[i]; q < rp[i + 1]; ++q)
-        lvl = std::max(lvl, level_of[ci[q]] + 1);
-      level_of[i] = lvl;
-    }
-  } else {
-    for (index_t i = 0; i < n; ++i) {
-      index_t lvl = 0;
-      for (index_t q = rp[i]; q < rp[i + 1]; ++q)
-        lvl = std::max(lvl, level_of[ci[q]] + 1);
-      level_of[i] = lvl;
-    }
-  }
+  d.for_each_row(num_threads, [&](index_t i) {
+    index_t lvl = 0;
+    for (index_t q = rp[i]; q < rp[i + 1]; ++q)
+      lvl = std::max(lvl, level_of[ci[q]] + 1);
+    level_of[i] = lvl;
+  });
   return level_of;
 }
 
+/// A component goes to its preferred thread while that thread's stage
+/// load stays within this factor of max(mean load, heaviest component).
+constexpr double kAffinitySlack = 1.05;
+
 /// Build one direction: aggregate levels into stages, partition each
-/// stage's connected components across threads by greedy LPT.
+/// stage's connected components across threads by greedy LPT. With a
+/// non-empty `affinity` (preferred thread per row), a component first
+/// goes to the thread its rows prefer by weight if that keeps the
+/// stage within kAffinitySlack of balanced.
 LevelBlockDirection build_direction(const LevelSchedule& ls,
                                     std::span<const index_t> tri_rp,
                                     std::span<const index_t> tri_ci,
                                     std::span<const index_t> row_weight,
                                     index_t n, index_t num_threads,
-                                    const LevelBlockingOptions& opts) {
+                                    const LevelBlockingOptions& opts,
+                                    std::span<const index_t> affinity = {}) {
   LevelBlockDirection d;
 
   std::vector<index_t> level_of(static_cast<std::size_t>(n), 0);
@@ -190,8 +191,9 @@ LevelBlockDirection build_direction(const LevelSchedule& ls,
       comp_id[single_level ? i : cf.find(i)] = -1;  // reset scratch
     }
 
-    // Greedy LPT: heaviest component to the least-loaded thread;
-    // deterministic tie-breaks (first row, then thread id).
+    // Greedy LPT: heaviest component to its preferred thread when that
+    // fits, else to the least-loaded thread; deterministic tie-breaks
+    // (first row, then thread id).
     std::vector<index_t> order(comp_rows.size());
     std::vector<index_t> comp_weight(comp_rows.size(), 0);
     for (std::size_t c = 0; c < comp_rows.size(); ++c) {
@@ -203,18 +205,31 @@ LevelBlockDirection build_direction(const LevelSchedule& ls,
         return comp_weight[a] > comp_weight[b];
       return comp_rows[a].front() < comp_rows[b].front();
     });
-    using HeapItem = std::pair<index_t, index_t>;  // (load, thread)
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>>
-        heap;
-    for (index_t t = 0; t < num_threads; ++t) heap.push({0, t});
+    double cap = 0.0;
+    if (!affinity.empty() && !order.empty()) {
+      std::size_t total = 0;
+      for (index_t w : comp_weight) total += static_cast<std::size_t>(w);
+      cap = kAffinitySlack *
+            std::max(static_cast<double>(total) / num_threads,
+                     static_cast<double>(comp_weight[order.front()]));
+    }
+    std::vector<index_t> pref_weight(static_cast<std::size_t>(num_threads));
     for (index_t c : order) {
-      auto [ld, t] = heap.top();
-      heap.pop();
+      index_t t = 0;
+      for (index_t u = 1; u < num_threads; ++u)
+        if (d.load[d.slot(u, s)] < d.load[d.slot(t, s)]) t = u;
+      if (!affinity.empty()) {
+        std::fill(pref_weight.begin(), pref_weight.end(), 0);
+        for (index_t i : comp_rows[c])
+          pref_weight[affinity[i]] += row_weight[i];
+        const auto pref = static_cast<index_t>(
+            std::max_element(pref_weight.begin(), pref_weight.end()) -
+            pref_weight.begin());
+        if (d.load[d.slot(pref, s)] + comp_weight[c] <= cap) t = pref;
+      }
       auto& rows = slot_rows[d.slot(t, s)];
       rows.insert(rows.end(), comp_rows[c].begin(), comp_rows[c].end());
       d.load[d.slot(t, s)] += comp_weight[c];
-      heap.push({ld + comp_weight[c], t});
     }
 
     // Components don't interact, so a global (level, row) sort per slot
@@ -470,10 +485,13 @@ LevelSweepSchedule build_level_sweep_schedule(
   s.num_threads = num_threads;
   s.fwd = build_direction(levels.forward, lower_rp, lower_ci, row_weight, n,
                           num_threads, opts);
-  s.bwd = build_direction(levels.backward, upper_rp, upper_ci, row_weight, n,
-                          num_threads, opts);
-
+  // Backward components prefer their rows' forward owner: a plan
+  // renumbered by forward ownership then keeps most of each thread's
+  // backward writes inside its own contiguous range.
   const Placement fp = placement_of(s.fwd, num_threads, n);
+  s.bwd = build_direction(levels.backward, upper_rp, upper_ci, row_weight, n,
+                          num_threads, opts, fp.owner);
+
   const Placement bp = placement_of(s.bwd, num_threads, n);
   DerivedDeps deps =
       derive_deps(s, fp, bp, lower_rp, lower_ci, upper_rp, upper_ci);
@@ -504,11 +522,15 @@ bool validate_level_sweep_schedule(const LevelSweepSchedule& s,
   for (index_t i = 0; i < n; ++i)
     if (fp.owner[i] < 0 || bp.owner[i] < 0) return false;
 
+  if (!edges_respect_stages(s.fwd, fp, lower_rp, lower_ci, n) ||
+      !edges_respect_stages(s.bwd, bp, upper_rp, upper_ci, n))
+    return false;
+
   // Stage level ranges must agree with the actual dependency levels.
   const std::vector<index_t> flev =
-      levels_from_pattern(lower_rp, lower_ci, n, false);
+      levels_in_walk_order(s.fwd, s.num_threads, lower_rp, lower_ci, n);
   const std::vector<index_t> blev =
-      levels_from_pattern(upper_rp, upper_ci, n, true);
+      levels_in_walk_order(s.bwd, s.num_threads, upper_rp, upper_ci, n);
   const auto levels_agree = [n](const LevelBlockDirection& d,
                                 const Placement& p,
                                 const std::vector<index_t>& lev) {
@@ -526,10 +548,6 @@ bool validate_level_sweep_schedule(const LevelSweepSchedule& s,
     return true;
   };
   if (!levels_agree(s.fwd, fp, flev) || !levels_agree(s.bwd, bp, blev))
-    return false;
-
-  if (!edges_respect_stages(s.fwd, fp, lower_rp, lower_ci, n) ||
-      !edges_respect_stages(s.bwd, bp, upper_rp, upper_ci, n))
     return false;
 
   // Dep arrays: shapes, ranges, and coverage of the derived

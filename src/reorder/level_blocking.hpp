@@ -2,10 +2,10 @@
 // point-to-point-schedulable stages (the RACE idea, arXiv:2205.01598,
 // applied to the BtB sweep pair).
 //
-// The naive level kernel pays one team barrier per dependency level —
+// A naive level kernel pays one team barrier per dependency level —
 // thousands of barriers per sweep on matrices with long dependency
 // chains. Level blocking recovers the ABMC engine's synchronization
-// structure without recoloring or permuting the matrix:
+// structure without recoloring the matrix:
 //
 //  - consecutive levels are aggregated into STAGES sized to a cache
 //    budget (reorder/level_schedule.hpp, aggregate_levels), so the
@@ -85,6 +85,19 @@ struct LevelBlockDirection {
   std::size_t slot(index_t t, index_t s) const {
     return static_cast<std::size_t>(t) * num_stages + s;
   }
+
+  /// f(row) over every row in stage-major slot order (stage 0 of every
+  /// thread, then stage 1, ...): the one-thread walk of this direction,
+  /// a valid sweep order in whatever numbering the schedule is stored.
+  template <class F>
+  void for_each_row(index_t num_threads, F&& f) const {
+    for (index_t s = 0; s < num_stages; ++s)
+      for (index_t t = 0; t < num_threads; ++t) {
+        const std::size_t sl = slot(t, s);
+        for (index_t q = part_ptr[sl]; q < part_ptr[sl + 1]; ++q)
+          f(part_rows[q]);
+      }
+  }
 };
 
 /// The precomputed level-blocked schedule for a fixed thread count;
@@ -121,8 +134,10 @@ struct LevelBlockingOptions {
 };
 
 /// Build the level-blocked schedule for `num_threads` persistent
-/// threads from the level schedules and the split triangle patterns
-/// (original matrix order — level scheduling never permutes).
+/// threads from the level schedules and the split triangle patterns of
+/// the original order (plans then renumber rows by the forward slot
+/// order, core/plan.hpp). Backward components prefer the thread that
+/// owns most of their rows in the forward direction.
 LevelSweepSchedule build_level_sweep_schedule(
     const LevelSchedulePair& levels, std::span<const index_t> lower_rp,
     std::span<const index_t> lower_ci, std::span<const index_t> upper_rp,

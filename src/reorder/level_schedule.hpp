@@ -3,17 +3,19 @@
 // "Other parallelization strategies", citing the SYMGS literature).
 //
 // Instead of recoloring + permuting the matrix (ABMC), level scheduling
-// leaves the matrix in its original order and derives a schedule from
-// the dependency DAG itself: for the forward sweep over L, row i's
-// level is 1 + max level over its L-neighbors (j < i with L(i,j) != 0);
-// rows of equal level are independent and run in parallel, with one
-// barrier per level. The backward sweep over U mirrors this from the
-// bottom. Exactness is preserved for the same reason as in ABMC.
+// derives a schedule from the dependency DAG of the original order:
+// for the forward sweep over L, row i's level is 1 + max level over its
+// L-neighbors (j < i with L(i,j) != 0); rows of equal level are
+// independent and run in parallel. The backward sweep over U mirrors
+// this from the bottom. Exactness is preserved for the same reason as
+// in ABMC. reorder/level_blocking.hpp aggregates the levels into
+// stages, and plans then renumber rows by thread ownership
+// (core/plan.hpp) without changing any row's arithmetic.
 //
-// Trade-off vs ABMC: no permutation (so no locality loss on matrices
-// that are already well ordered, and no preprocessing beyond two linear
-// passes) but typically far more levels than colors — hence more
-// barriers — and uneven level widths.
+// Trade-off vs ABMC: no recoloring (so no preprocessing beyond linear
+// passes, and each row keeps its original accumulation order) but
+// typically far more levels than colors — hence more stages to
+// synchronize — and uneven level widths.
 #pragma once
 
 #include <span>

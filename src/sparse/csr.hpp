@@ -3,7 +3,9 @@
 //
 // row_ptr has length rows()+1; row i's entries occupy
 // [row_ptr[i], row_ptr[i+1]) in col_idx / values. Columns within a row
-// are sorted ascending and unique (enforced by the builders).
+// are sorted ascending and unique (enforced by the builders) — except
+// for renumbered triangles (see the Triangle constructor), whose
+// columns ascend in a base numbering instead.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +18,10 @@
 #include "support/error.hpp"
 
 namespace fbmpk {
+
+/// Which strict triangle a renumbered triangle holds in its base
+/// numbering.
+enum class Triangle { kLower, kUpper };
 
 template <class T>
 class CsrMatrix {
@@ -31,6 +37,36 @@ class CsrMatrix {
         col_idx_(std::move(col_idx)),
         values_(std::move(values)) {
     validate();
+  }
+
+  /// Take ownership of a strict triangle stored under a renumbering:
+  /// row i is row base_of[i] of a strict `tri` triangle of the base
+  /// numbering, with its columns renamed into the stored numbering and
+  /// its entries kept in base order (so every row dot accumulates as it
+  /// does in the base numbering). Validates that invariant in place of
+  /// stored-column order: per row, base_of[column] strictly ascending
+  /// and strictly below (kLower) or above (kUpper) base_of[i].
+  /// `base_of` must be a permutation of [0, n) (Permutation::order()).
+  CsrMatrix(Triangle tri, std::span<const index_t> base_of, index_t n,
+            AlignedVector<index_t> row_ptr, AlignedVector<index_t> col_idx,
+            AlignedVector<T> values)
+      : rows_(n),
+        cols_(n),
+        row_ptr_(std::move(row_ptr)),
+        col_idx_(std::move(col_idx)),
+        values_(std::move(values)) {
+    FBMPK_CHECK_CODE(base_of.size() == static_cast<std::size_t>(n),
+                     ErrorCode::kInvalidMatrix,
+                     "renumbering length " << base_of.size() << " != rows "
+                                           << n);
+    validate_rows(
+        [&](index_t i, index_t k) {
+          const index_t b = base_of[col_idx_[k]];
+          return (k == row_ptr_[i] || base_of[col_idx_[k - 1]] < b) &&
+                 (tri == Triangle::kLower ? b < base_of[i] : b > base_of[i]);
+        },
+        "renumbered triangle: base columns not strictly ascending inside "
+        "the triangle in row ");
   }
 
   /// Compress a COO matrix: sorts row-major and sums duplicates.
@@ -114,6 +150,25 @@ class CsrMatrix {
   /// ErrorCode::kInvalidMatrix on any violation. Index arithmetic is
   /// overflow-safe: bounds are established before they are dereferenced.
   void validate() const {
+    validate_rows(
+        [this](index_t i, index_t k) {
+          return k == row_ptr_[i] || col_idx_[k - 1] < col_idx_[k];
+        },
+        "columns not strictly ascending in row ");
+  }
+
+  friend bool operator==(const CsrMatrix& a, const CsrMatrix& b) {
+    return a.rows_ == b.rows_ && a.cols_ == b.cols_ &&
+           a.row_ptr_ == b.row_ptr_ && a.col_idx_ == b.col_idx_ &&
+           a.values_ == b.values_;
+  }
+
+ private:
+  /// Shape checks plus, per entry k of row i whose column is in range,
+  /// `ordered(i, k)` — the row-order invariant against the row's
+  /// earlier entries, reported as `what` + row on violation.
+  template <class Ordered>
+  void validate_rows(Ordered&& ordered, const char* what) const {
     FBMPK_CHECK_CODE(rows_ >= 0 && cols_ >= 0, ErrorCode::kInvalidMatrix,
                      "negative dimensions " << rows_ << " x " << cols_);
     FBMPK_CHECK_CODE(
@@ -141,21 +196,12 @@ class CsrMatrix {
         FBMPK_CHECK_CODE(col_idx_[k] >= 0 && col_idx_[k] < cols_,
                          ErrorCode::kInvalidMatrix,
                          "column out of range in row " << i);
-        if (k > row_ptr_[i])
-          FBMPK_CHECK_CODE(col_idx_[k - 1] < col_idx_[k],
-                           ErrorCode::kInvalidMatrix,
-                           "columns not strictly ascending in row " << i);
+        FBMPK_CHECK_CODE(ordered(i, k), ErrorCode::kInvalidMatrix,
+                         what << i);
       }
     }
   }
 
-  friend bool operator==(const CsrMatrix& a, const CsrMatrix& b) {
-    return a.rows_ == b.rows_ && a.cols_ == b.cols_ &&
-           a.row_ptr_ == b.row_ptr_ && a.col_idx_ == b.col_idx_ &&
-           a.values_ == b.values_;
-  }
-
- private:
   index_t rows_ = 0;
   index_t cols_ = 0;
   AlignedVector<index_t> row_ptr_{0};  // valid empty matrix: [0]

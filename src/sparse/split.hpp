@@ -172,6 +172,58 @@ TriangularSplit<T> split_triangular_permuted(const CsrMatrix<T>& a,
   return detail::split_rows(a, order, inv);
 }
 
+/// Renumber a split without re-sorting its rows: row i of the result is
+/// row order[i] of `s`, its columns renamed and its entries kept in
+/// their stored order, so every row dot accumulates exactly as before.
+/// `base_of` maps result rows to the numbering the triangles are
+/// strict in — what the result's CSR validation checks (the
+/// CsrMatrix Triangle constructor). One triangle is converted at a
+/// time, so at most one extra triangle is ever alive.
+template <class T>
+TriangularSplit<T> renumber_split(TriangularSplit<T> s,
+                                  std::span<const index_t> order,
+                                  std::span<const index_t> base_of) {
+  const index_t n = s.lower.rows();
+  FBMPK_CHECK(order.size() == static_cast<std::size_t>(n) &&
+              base_of.size() == order.size());
+  std::vector<index_t> inv(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    FBMPK_CHECK(order[i] >= 0 && order[i] < n);
+    inv[order[i]] = static_cast<index_t>(i);
+  }
+  const auto rename = [&](const CsrMatrix<T>& m, Triangle tri) {
+    const auto rp = m.row_ptr();
+    const auto ci = m.col_idx();
+    const auto va = m.values();
+    AlignedVector<index_t> ptr(static_cast<std::size_t>(n) + 1);
+    ptr[0] = 0;
+    for (index_t i = 0; i < n; ++i)
+      ptr[i + 1] = ptr[i] + (rp[order[i] + 1] - rp[order[i]]);
+    AlignedVector<index_t> col;
+    AlignedVector<T> val;
+    {
+      const NoZeroFillScope no_zero_fill;
+      col = AlignedVector<index_t>(ci.size());
+      val = AlignedVector<T>(va.size());
+    }
+    parallel_for(n, [&](index_t i) {
+      index_t out = ptr[i];
+      for (index_t k = rp[order[i]]; k < rp[order[i] + 1]; ++k, ++out) {
+        col[out] = inv[ci[k]];
+        val[out] = va[k];
+      }
+    });
+    return CsrMatrix<T>(tri, base_of, n, std::move(ptr), std::move(col),
+                        std::move(val));
+  };
+  s.lower = rename(s.lower, Triangle::kLower);
+  s.upper = rename(s.upper, Triangle::kUpper);
+  AlignedVector<T> diag(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) diag[i] = s.diag[order[i]];
+  s.diag = std::move(diag);
+  return s;
+}
+
 /// Reassemble A from a split — inverse of split_triangular up to dropped
 /// explicit diagonal zeros (test utility).
 template <class T>

@@ -89,7 +89,8 @@ TEST_P(LevelKernelTest, BitwiseEqualsSerial) {
   set_threads(threads);
   const auto a = test::random_matrix(350, 8.0, false, 77);
   const auto s = split_triangular(a);
-  const auto sched = LevelSchedulePair::of(s);
+  const auto sched = build_level_sweep_schedule(
+      LevelSchedulePair::of(s), s, static_cast<index_t>(threads));
   const auto x = test::random_vector(350, 78);
 
   AlignedVector<double> y_lvl(350), y_ser(350);
@@ -113,7 +114,11 @@ TEST(LevelKernel, PlanWithLevelSchedulerNoReorder) {
   opts.parallel = true;
   opts.scheduler = Scheduler::kLevels;
   auto plan = MpkPlan::build(a, opts);
-  EXPECT_TRUE(plan.permutation().is_identity());
+  // No ABMC reorder: the permutation is the ownership renumbering, and
+  // the stored forward schedule walks rows 0..n-1 in slot order.
+  EXPECT_EQ(plan.stats().num_colors, 0);
+  const auto& fwd = plan.level_sweep_schedule().fwd;
+  for (index_t q = 0; q < a.rows(); ++q) ASSERT_EQ(fwd.part_rows[q], q);
   EXPECT_GT(plan.stats().num_levels_forward, 1);
   EXPECT_GT(plan.stats().num_levels_backward, 1);
 
@@ -307,7 +312,7 @@ TEST_P(LevelEngineTest, BitwiseEqualsSerial) {
   AlignedVector<double> y_eng(340), y_ser(340);
   SweepWorkspace<double> we;
   FbWorkspace<double> ws;
-  fbmpk_level_engine_power<double>(s, levels, sched, x, k, y_eng, we);
+  fbmpk_level_engine_power<double>(s, sched, x, k, y_eng, we);
   fbmpk_power<double>(s, x, k, y_ser, ws);
   for (index_t i = 0; i < 340; ++i)
     ASSERT_EQ(y_eng[i], y_ser[i]) << "row " << i << " k=" << k;
@@ -365,6 +370,25 @@ TEST(LevelEngine, AutoSchedulerResolvesStructurally) {
   ro.scheduler = Scheduler::kAuto;
   auto plan2 = MpkPlan::build(a, ro);
   EXPECT_NE(plan2.options().scheduler, Scheduler::kAuto);
+}
+
+TEST(LevelEngine, AutoProbeMeasuresTheOriginalOrder) {
+  // The probe reads the level width of the order a level plan runs in
+  // (the original one), before any reorder. A narrow strip is a chain
+  // there, whatever ABMC would make of it, so it gets ABMC; a wide
+  // random graph gets levels and never pays for the ABMC reorder.
+  PlanOptions o;
+  o.parallel = true;
+  o.scheduler = Scheduler::kAuto;
+  o.sweep.threads = 4;
+  const auto strip = gen::make_laplacian_2d(2, 2000);  // ~2000 levels
+  EXPECT_EQ(MpkPlan::build(strip, o).options().scheduler, Scheduler::kAbmc);
+
+  const auto wide = test::random_matrix(4000, 3.0, false, 71);
+  auto plan = MpkPlan::build(wide, o);
+  EXPECT_EQ(plan.options().scheduler, Scheduler::kLevels);
+  EXPECT_EQ(plan.stats().num_colors, 0);
+  EXPECT_EQ(plan.stats().reorder_seconds, 0.0);
 }
 
 TEST(LevelKernel, GridLevelsAreFarFewerThanRows) {

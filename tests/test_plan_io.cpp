@@ -115,7 +115,7 @@ TEST(PlanIo, RejectsOldFormatVersionWithTypedError) {
   // (correct index width) and claims a payload the stream does not
   // hold, so reading past the header would surface as kCorruptPlan.
   for (const std::uint32_t version :
-       {0u, 1u, 4u, 5u, 6u, 7u, 9u, 0xFFFFFFFFu}) {
+       {0u, 1u, 4u, 5u, 6u, 7u, 8u, 10u, 0xFFFFFFFFu}) {
     SCOPED_TRACE(version);
     std::string header("FBMPKPLN", 8);
     const std::uint32_t width = sizeof(index_t), crc = 0;
@@ -559,21 +559,16 @@ TEST(PlanIo, TamperedLevelScheduleFailsValidation) {
 
   // Locate the LVLS frame ('LVLS' as a little-endian u32 -> the byte
   // string "SLVL") and flip the low bit of the first fwd.part_rows
-  // entry. The section starts with the two LevelSchedules (num_levels
-  // pod + level_ptr/rows vecs each) before the v7 blocked-schedule
-  // extension. The shape checks still pass — the partition merely
-  // names a duplicate row — so only validate_level_sweep_schedule can
-  // catch it.
-  const auto sched_bytes = [](const LevelSchedule& s) {
-    return 4 + (8 + 4 * s.level_ptr.size()) + (8 + 4 * s.rows.size());
-  };
+  // entry. The section opens with the blocked schedule's thread count
+  // and forward direction. The shape checks still pass — the partition
+  // merely names a duplicate row — so only
+  // validate_level_sweep_schedule can catch it.
   const std::string tag = {'S', 'L', 'V', 'L'};
   const std::size_t lvls = stream.rfind(tag);
   ASSERT_NE(lvls, std::string::npos);
   const std::size_t first_part_row =
-      lvls + 12 + sched_bytes(plan.levels().forward) +
-      sched_bytes(plan.levels().backward) + 4 /*num_threads*/ +
-      4 /*fwd.num_stages*/ + (8 + 4 * ls.fwd.stage_level_ptr.size()) +
+      lvls + 12 + 4 /*num_threads*/ + 4 /*fwd.num_stages*/ +
+      (8 + 4 * ls.fwd.stage_level_ptr.size()) +
       (8 + 4 * ls.fwd.part_ptr.size()) + 8 /*part_rows size*/;
   ASSERT_LT(first_part_row, stream.size());
   stream[first_part_row] = static_cast<char>(
