@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,27 +90,6 @@ inline AlignedVector<double> bench_vector(index_t n) {
   return v;
 }
 
-/// Byte-meter a region with hardware counters: runs `fn` `runs` times
-/// inside one counter window and returns the per-run DRAM byte count,
-/// or -1 when no traffic-capable counter could be opened (restricted
-/// perf_event_paranoid, VM without a PMU — see docs/OBSERVABILITY.md).
-/// `source` reports the meter fidelity: "imc" for uncore CAS counters,
-/// "llc_proxy" for the LLC-miss x cache-line estimate.
-inline double measure_dram_bytes(const std::function<void()>& fn, int runs,
-                                 std::string* source = nullptr) {
-  if (source) source->clear();
-  if (runs <= 0) return -1.0;
-  telemetry::HwCounterGroup hw;
-  if (!hw.availability().traffic()) return -1.0;
-  hw.start();
-  for (int r = 0; r < runs; ++r) fn();
-  const telemetry::HwCounts counts = hw.stop();
-  const std::int64_t bytes = counts.memory_bytes();
-  if (bytes < 0) return -1.0;
-  if (source) *source = counts.dram_direct ? "imc" : "llc_proxy";
-  return static_cast<double>(bytes) / runs;
-}
-
 // ---------------------------------------------------------------------------
 // Machine-readable results: every figure bench can mirror its table
 // into BENCH_<name>.json so plots and regression checks do not have to
@@ -131,7 +109,7 @@ inline double measure_dram_bytes(const std::function<void()>& fn, int runs,
 /// 100·(measured-modeled)/modeled is derived at write() time.
 struct JsonRecord {
   std::string matrix;
-  std::string kernel;  ///< e.g. "fbmpk", "mpk", "engine_p2p"
+  std::string kernel;  ///< e.g. "fbmpk", "mpk", "levels_engine"
   int k = 0;
   int threads = 1;
   double seconds = 0.0;

@@ -96,8 +96,9 @@ int main(int argc, char** argv) {
                 bench::JsonReport::gflops_of(shape, sweeps, ser_s), bytes,
                 modeled});
 
-    // Per-color thread imbalance (max/mean nnz per thread): what the
-    // sweep engine's nnz-LPT partition buys over the omp-static split.
+    // Per-color thread imbalance (max/mean nnz per thread): what an
+    // nnz-LPT partition of each color would buy over the barrier
+    // kernel's omp-static split.
     const auto& split = abmc_plan.split();
     const auto weights = block_nnz_weights(
         abmc_plan.schedule(), split.lower.row_ptr(), split.upper.row_ptr());

@@ -325,9 +325,7 @@ int cmd_info(const Args& args) {
   }
   if (plan.options().sweep.sync == SweepSync::kPointToPoint)
     std::printf("sweep:           point-to-point, %d threads%s\n",
-                static_cast<int>(is_levels
-                                     ? plan.level_sweep_schedule().num_threads
-                                     : plan.sweep_schedule().num_threads),
+                static_cast<int>(plan.level_sweep_schedule().num_threads),
                 plan.options().sweep.pin_threads ? ", pinned" : "");
   else
     std::printf("sweep:           barrier\n");
@@ -758,7 +756,8 @@ int main(int argc, char** argv) {
                  "  plan  --matrix=suite:pwtk|file:a.mtx --out=plan.bin"
                  " [--blocks=512] [--autotune-k=5]\n"
                  "        [--scheduler=abmc|levels|auto]"
-                 " [--sweep=barrier|p2p] [--sweep-threads=0]\n"
+                 " [--sweep=barrier|p2p] [--sweep-threads=0]"
+                 " (p2p: level plans)\n"
                  "        [--backend=auto|scalar|avx2]"
                  " [--index-compress] [--prefetch-dist=16]\n"
                  "        [--precision=fp64|fp32]\n"

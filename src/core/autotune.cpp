@@ -231,8 +231,9 @@ SweepSyncResult autotune_sweep_sync(const CsrMatrix<double>& a, int k,
                                     int reps, PlanOptions base) {
   FBMPK_CHECK(k >= 1 && reps >= 1);
   SweepSyncResult result;
-  if (!base.parallel || max_threads() <= 1)
-    return result;  // point-to-point cannot win; keep the barrier
+  if (!base.parallel || max_threads() <= 1 ||
+      base.scheduler == Scheduler::kAbmc)
+    return result;  // no point-to-point engine to race; keep the barrier
 
   ProbeVectors v(a.rows());
   FBMPK_TSPAN(kAutotune, "autotune.sweep_sync");

@@ -75,11 +75,10 @@ struct SweepSyncResult {
 };
 
 /// Measure y = A^k x under both sweep synchronization modes (same
-/// options otherwise) and pick the faster. Skips the measurement and
-/// returns kBarrier for serial plans or a single-thread runtime, where
-/// point-to-point cannot win. Both schedulers have a point-to-point
-/// engine (the ABMC persistent-threads engine and the level engine),
-/// so the race runs for either.
+/// options otherwise) and pick the faster. Only level-scheduled plans
+/// have a point-to-point engine: for ABMC plans (which always run the
+/// per-color barrier kernel), serial plans or a single-thread runtime
+/// it returns kBarrier without building or timing a plan.
 SweepSyncResult autotune_sweep_sync(const CsrMatrix<double>& a, int k,
                                     int reps = 3, PlanOptions base = {});
 

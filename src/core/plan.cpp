@@ -15,30 +15,10 @@ namespace fbmpk {
 namespace {
 
 #if FBMPK_TELEMETRY_ENABLED
-// Max-over-mean per-thread nnz load of the point-to-point schedule, in
-// parts-per-million (same diagnostic as perf::partition_imbalance, kept
-// local to avoid a core -> perf dependency). 1e6 == perfectly balanced.
-std::int64_t schedule_imbalance_ppm(const SweepSchedule& sched) {
-  if (sched.empty() || sched.load.empty()) return 0;
-  const std::size_t T_n = static_cast<std::size_t>(sched.num_threads);
-  std::vector<double> per_thread(T_n, 0.0);
-  for (std::size_t t = 0; t < T_n; ++t)
-    for (index_t c = 0; c < sched.num_colors; ++c)
-      per_thread[t] += static_cast<double>(
-          sched.load[t * static_cast<std::size_t>(sched.num_colors) +
-                     static_cast<std::size_t>(c)]);
-  double total = 0.0, peak = 0.0;
-  for (double v : per_thread) {
-    total += v;
-    peak = std::max(peak, v);
-  }
-  const double mean = total / static_cast<double>(T_n);
-  if (mean <= 0.0) return 0;
-  return static_cast<std::int64_t>(peak / mean * 1e6);
-}
-
-// Same diagnostic for the level-blocked schedule: per-thread nnz load
-// summed over both directions' stages.
+// Max-over-mean per-thread nnz load of the level-blocked schedule,
+// summed over both directions' stages, in parts-per-million (same
+// diagnostic as perf::partition_imbalance, kept local to avoid a
+// core -> perf dependency). 1e6 == perfectly balanced.
 std::int64_t level_imbalance_ppm(const LevelSweepSchedule& sched) {
   if (sched.empty()) return 0;
   const std::size_t T_n = static_cast<std::size_t>(sched.num_threads);
@@ -161,6 +141,10 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
     opts.scheduler = Scheduler::kAbmc;
     plan.opts_.scheduler = opts.scheduler;
   }
+  // ABMC plans run the per-color barrier kernel (paper Algorithm 2);
+  // store the sync that actually runs.
+  if (opts.scheduler == Scheduler::kAbmc)
+    plan.opts_.sweep.sync = opts.sweep.sync = SweepSync::kBarrier;
 
   // Level-scheduled plans take no ABMC reorder: they are renumbered
   // by thread ownership below instead.
@@ -190,19 +174,6 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
                                    : static_cast<index_t>(max_threads()));
     FBMPK_TGAUGE("plan.partition_imbalance_ppm",
                  level_imbalance_ppm(plan.level_sweep_schedule_));
-  }
-
-  if (opts.parallel && opts.scheduler == Scheduler::kAbmc &&
-      opts.sweep.sync == SweepSync::kPointToPoint) {
-    FBMPK_TSPAN(kPlan, "plan.sweep_schedule");
-    const index_t threads = opts.sweep.threads > 0
-                                ? opts.sweep.threads
-                                : static_cast<index_t>(max_threads());
-    plan.sweep_schedule_ =
-        build_sweep_schedule(plan.schedule_, plan.split_, threads);
-    plan.stats_.sweep_threads = threads;
-    FBMPK_TGAUGE("plan.partition_imbalance_ppm",
-                 schedule_imbalance_ppm(plan.sweep_schedule_));
   }
 
   plan.pack_sidecars();
@@ -241,8 +212,6 @@ void MpkPlan::renumber_by_ownership(index_t threads) {
   stats_.num_levels_forward = levels.forward.num_levels;
   stats_.num_levels_backward = levels.backward.num_levels;
   level_sweep_schedule_ = build_level_sweep_schedule(levels, split_, threads);
-  if (opts_.sweep.sync == SweepSync::kPointToPoint)
-    stats_.sweep_threads = threads;
 
   // pi = the forward slot order, so each thread's forward rows become
   // one contiguous range; the schedule's rows are renamed with it.
@@ -311,6 +280,20 @@ bool tuned_config_stale(const TunedConfig& cfg, index_t runtime_threads) {
   return cfg.tuned_threads != runtime_threads;
 }
 
+bool MpkPlan::supports(ExecPath path) const {
+  switch (path) {
+    case ExecPath::kDefault:
+    case ExecPath::kSerial:
+      return true;
+    case ExecPath::kBarrier:
+      return opts_.parallel && (level_plan() ? !level_sweep_schedule_.empty()
+                                             : !schedule_.block_ptr.empty());
+    case ExecPath::kEngine:
+      return level_plan() && use_level_engine();
+  }
+  return false;
+}
+
 bool MpkPlan::level_engine(ExecPath path) const {
   return path == ExecPath::kEngine ||
          (path == ExecPath::kDefault && use_level_engine());
@@ -350,24 +333,15 @@ void MpkPlan::run_sweep(std::span<const double> px, int k, Workspace& ws,
     return;
   }
   const bool serial = path == ExecPath::kSerial || !opts_.parallel;
-  const bool engine = !serial && (path == ExecPath::kEngine ||
-                                  (path == ExecPath::kDefault && use_engine()));
   if (use_dispatch()) {
     const DispatchRows rows = dispatch_rows();
     if (serial)
       fbmpk_sweep_btb_fast(split_, rows, px, k, ws.fb, emit);
-    else if (engine)
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads, ctl);
     else
       fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit,
                                 ctl);
   } else if (serial) {
     fbmpk_sweep(split_, px, k, ws.fb, emit, opts_.variant);
-  } else if (engine) {
-    fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_,
-                            ScalarRows<double>(split_), px, k, ws.sweep, emit,
-                            opts_.sweep.pin_threads, ctl);
   } else {
     fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit, ctl);
   }
@@ -411,23 +385,9 @@ Status MpkPlan::try_power(std::span<const double> x, int k,
     FBMPK_CHECK(x.size() == static_cast<std::size_t>(n_));
     FBMPK_CHECK(y.size() == static_cast<std::size_t>(n_));
     FBMPK_CHECK(k >= 0);
-    if (path == ExecPath::kEngine || path == ExecPath::kBarrier) {
-      // Scheduler-polymorphic rungs: the override needs whichever
-      // schedule structure the plan's scheduler uses.
-      const bool levels = opts_.scheduler == Scheduler::kLevels;
-      FBMPK_CHECK_CODE(
-          opts_.parallel &&
-              (levels ? !level_sweep_schedule_.empty()
-                      : !schedule_.block_ptr.empty()),
-          ErrorCode::kUnsupported,
-          "engine/barrier execution override needs a scheduled parallel "
-          "plan");
-      FBMPK_CHECK_CODE(
-          path != ExecPath::kEngine ||
-              (levels ? use_level_engine() : use_engine()),
-          ErrorCode::kUnsupported,
-          "plan carries no point-to-point sweep schedule");
-    }
+    FBMPK_CHECK_CODE(supports(path), ErrorCode::kUnsupported,
+                     "plan does not support the forced execution path "
+                     "(see MpkPlan::supports)");
     if (ctl != nullptr && ctl->cancelled())
       return Status(FBMPK_MAKE_ERROR(ctl->cancel_reason(),
                                      "request cancelled before execution"));
@@ -515,29 +475,13 @@ Status MpkPlan::run_power_batch_chunk(const double* const* xs, int k,
     return Status();
   }
 
-  if (path == ExecPath::kSerial || !opts_.parallel) {
-    FbWorkspace<P> fbws;
-    batch_rows([&](const auto& rows) {
-      fbmpk_sweep_btb_fast(split_, rows, x0, k, fbws, cemit);
-    });
-    return Status();
-  }
-
-  const bool engine =
-      path == ExecPath::kEngine || (path == ExecPath::kDefault && use_engine());
+  FbWorkspace<P> fbws;
   batch_rows([&](const auto& rows) {
-    if (engine) {
-      SweepWorkspace<P> swws;
-      // Per-call workspace: skip the NUMA warm pass (see above).
-      swws.resize(n_);
-      swws.warmed = true;
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, x0, k,
-                              swws, emit, opts_.sweep.pin_threads, ctl);
-    } else {
-      FbWorkspace<P> fbws;
+    if (path == ExecPath::kSerial || !opts_.parallel)
+      fbmpk_sweep_btb_fast(split_, rows, x0, k, fbws, cemit);
+    else
       fbmpk_parallel_sweep_rows(split_, schedule_, rows, x0, k, fbws, emit,
                                 ctl);
-    }
   });
   return Status();
 }
@@ -549,21 +493,9 @@ Status MpkPlan::try_power_batch(const double* const* xs, index_t nvec, int k,
     FBMPK_CHECK(xs != nullptr && ys != nullptr);
     FBMPK_CHECK(nvec >= 1);
     FBMPK_CHECK(k >= 0);
-    if (path == ExecPath::kEngine || path == ExecPath::kBarrier) {
-      const bool levels = opts_.scheduler == Scheduler::kLevels;
-      FBMPK_CHECK_CODE(
-          opts_.parallel &&
-              (levels ? !level_sweep_schedule_.empty()
-                      : !schedule_.block_ptr.empty()),
-          ErrorCode::kUnsupported,
-          "engine/barrier execution override needs a scheduled parallel "
-          "plan");
-      FBMPK_CHECK_CODE(
-          path != ExecPath::kEngine ||
-              (levels ? use_level_engine() : use_engine()),
-          ErrorCode::kUnsupported,
-          "plan carries no point-to-point sweep schedule");
-    }
+    FBMPK_CHECK_CODE(supports(path), ErrorCode::kUnsupported,
+                     "plan does not support the forced execution path "
+                     "(see MpkPlan::supports)");
     if (ctl != nullptr && ctl->cancelled())
       return Status(FBMPK_MAKE_ERROR(ctl->cancel_reason(),
                                      "request cancelled before execution"));

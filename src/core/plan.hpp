@@ -29,7 +29,6 @@
 #include "kernels/fbmpk_level_engine.hpp"
 #include "kernels/fbmpk_parallel.hpp"
 #include "kernels/fbmpk_recurrence.hpp"
-#include "kernels/sweep_schedule.hpp"
 #include "sparse/packed_tri.hpp"
 #include "reorder/abmc.hpp"
 #include "reorder/level_blocking.hpp"
@@ -52,7 +51,8 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size);
 /// How the parallel sweeps are scheduled.
 enum class Scheduler {
   kAbmc,    ///< ABMC coloring (paper §III-D): permutes the matrix,
-            ///< few barriers (2 x colors per pair)
+            ///< few barriers (2 x colors per pair); always runs the
+            ///< per-color barrier kernel
   kLevels,  ///< level scheduling (paper §VII): cache-blocked stages
             ///< of dependency levels (reorder/level_blocking.hpp) with
             ///< point-to-point sync, or one barrier per stage under
@@ -80,27 +80,29 @@ Scheduler parse_scheduler(const std::string& name);
 /// one concrete sweep implementation. All rungs issue the same per-row
 /// kernels, so results are bitwise identical across them for a fixed
 /// plan configuration.
-/// The rungs are scheduler-polymorphic: on an ABMC plan kEngine /
-/// kBarrier mean the color engine / per-color barrier kernel, on a
-/// level-scheduled plan the level engine / per-stage barrier walk, and
-/// kSerial the one-thread stage walk — every level rung walks the one
-/// stage schedule.
+/// The rungs are scheduler-polymorphic: on an ABMC plan kBarrier means
+/// the per-color barrier kernel (ABMC plans have no engine), on a
+/// level-scheduled plan kEngine / kBarrier mean the level engine /
+/// per-stage barrier walk and kSerial the one-thread stage walk — every
+/// level rung walks the one stage schedule. MpkPlan::supports says
+/// which rungs a plan has.
 enum class ExecPath {
   kDefault = 0,  ///< the plan's own selection (options-driven)
-  kEngine,       ///< persistent-threads p2p engine (needs a schedule)
+  kEngine,       ///< persistent-threads p2p level engine
   kBarrier,      ///< barrier kernel (per color or per stage)
   kSerial,       ///< serial sweep (always available)
 };
 
-/// How a scheduled parallel sweep synchronizes between units of work
-/// (colors under ABMC, level stages under the level scheduler).
+/// How a level-scheduled parallel sweep synchronizes between stages.
+/// ABMC plans always run the per-color barrier kernel: MpkPlan::build
+/// stores kBarrier for them whatever was asked.
 enum class SweepSync {
-  kBarrier,       ///< one team barrier per color/stage per sweep
+  kBarrier,       ///< one team barrier per stage per sweep
   kPointToPoint,  ///< persistent threads, per-thread epoch counters,
                   ///< precomputed schedule (docs/PARALLELISM.md)
 };
 
-/// Persistent-threads engine options (both schedulers).
+/// Level-scheduled sweep options.
 struct SweepOptions {
   SweepSync sync = SweepSync::kBarrier;
   /// Thread count the schedule is built for; 0 means the runtime
@@ -124,7 +126,7 @@ struct PlanOptions {
   bool parallel = true;
   /// Parallel schedule construction.
   Scheduler scheduler = Scheduler::kAbmc;
-  /// Sweep synchronization (either scheduler).
+  /// Sweep synchronization (level-scheduled plans; see SweepSync).
   SweepOptions sweep;
   /// Serial pipeline flavor: BtB interleaved (default) or split vectors.
   FbVariant variant = FbVariant::kBtb;
@@ -217,7 +219,6 @@ struct PlanStats {
   index_t num_colors = 0;
   index_t num_levels_forward = 0;   ///< level scheduler only
   index_t num_levels_backward = 0;  ///< level scheduler only
-  index_t sweep_threads = 0;  ///< point-to-point engine only
   std::size_t storage_bytes = 0;  ///< bytes held by L + U + d
   /// Bytes of the compressed column sidecar (0 when index_compress is
   /// off). Compare against 2 * nnz(L) … see perf/traffic_model.
@@ -231,7 +232,7 @@ class MpkPlan {
   /// Scratch vectors for one concurrent run stream.
   struct Workspace {
     FbWorkspace<double> fb;
-    SweepWorkspace<double> sweep;  ///< point-to-point engine scratch
+    SweepWorkspace<double> sweep;  ///< level-scheduled sweep scratch
     AlignedVector<double> px;  ///< permuted input
     AlignedVector<double> py;  ///< permuted output
   };
@@ -248,7 +249,6 @@ class MpkPlan {
   const PlanStats& stats() const { return stats_; }
   const Permutation& permutation() const { return perm_; }
   const AbmcOrdering& schedule() const { return schedule_; }
-  const SweepSchedule& sweep_schedule() const { return sweep_schedule_; }
   /// Level-blocked stage schedule (every parallel level-scheduled plan),
   /// in the plan's renumbered rows: forward slot (t, s) is the range
   /// part_ptr[slot(t, s)] .. part_ptr[slot(t, s) + 1].
@@ -278,6 +278,12 @@ class MpkPlan {
   void power(std::span<const double> x, int k, std::span<double> y,
              Workspace& ws) const;
   void power(std::span<const double> x, int k, std::span<double> y);
+
+  /// Whether the plan has the sweep `path` forces: kDefault and kSerial
+  /// always; kBarrier on a parallel plan; kEngine on a parallel
+  /// level-scheduled point-to-point plan. try_power / try_power_batch
+  /// return kUnsupported for any other path.
+  bool supports(ExecPath path) const;
 
   /// Cancellable, path-overridable power — the serving layer's entry
   /// point (degradation-ladder rungs + per-request deadlines). Instead
@@ -348,10 +354,6 @@ class MpkPlan {
   friend MpkPlan load_plan(std::istream&);
   friend MpkPlan detail::load_plan_impl(std::istream&, std::uint64_t);
 
-  bool use_engine() const {
-    return opts_.sweep.sync == SweepSync::kPointToPoint &&
-           !sweep_schedule_.empty();
-  }
   bool level_plan() const {
     return opts_.parallel && opts_.scheduler == Scheduler::kLevels;
   }
@@ -411,7 +413,6 @@ class MpkPlan {
   Permutation perm_;         ///< new -> original row (identity when
                              ///< neither reordered nor level-scheduled)
   AbmcOrdering schedule_;    ///< empty when reorder is off
-  SweepSchedule sweep_schedule_;  ///< ABMC point-to-point sync only
   LevelSweepSchedule level_sweep_schedule_;  ///< level-scheduled plans
   TriangularSplit<double> split_;
   PackedSplitIndex packed_;  ///< populated when index_compress is on

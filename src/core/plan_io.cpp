@@ -19,7 +19,7 @@ namespace fbmpk {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Format v9 (see docs/ROBUSTNESS.md):
+// Format v10 (see docs/ROBUSTNESS.md):
 //
 //   [ magic "FBMPKPLN" | u32 version | u32 index_width |
 //     u64 payload_size | u32 payload_crc32 ]  -- fixed header
@@ -38,18 +38,17 @@ namespace {
 // A plan file is a cache of a build, not an archive: this build reads
 // exactly one version, and any other is kVersionMismatch (regenerate
 // with `fbmpk_cli plan`). Beyond the CRC, a loaded plan is re-checked
-// against its own split: the sweep and level-blocked schedules are
-// structurally re-validated, the packed column sidecar is
-// decode-compared, and the value sidecars are re-encoded from the
-// split's fp64 values and compared bitwise (any mismatch ->
-// kCorruptPlan). A schedule built for a different thread count than
-// the runtime's is rebuilt from the split, and a loaded tuned config
-// is revalidated against the executing machine (tuned_config_stale)
-// rather than trusted.
+// against its own split: the level-blocked schedule is structurally
+// re-validated, the packed column sidecar is decode-compared, and the
+// value sidecars are re-encoded from the split's fp64 values and
+// compared bitwise (any mismatch -> kCorruptPlan). A schedule built
+// for a different thread count than the runtime's is rebuilt from the
+// split, and a loaded tuned config is revalidated against the
+// executing machine (tuned_config_stale) rather than trusted.
 // ---------------------------------------------------------------------------
 
 constexpr char kMagic[8] = {'F', 'B', 'M', 'P', 'K', 'P', 'L', 'N'};
-constexpr std::uint32_t kVersion = 9;
+constexpr std::uint32_t kVersion = 10;
 
 // Section tags, in the order they are written.
 enum : std::uint32_t {
@@ -57,7 +56,6 @@ enum : std::uint32_t {
   kSecStats = 0x53544154,     // 'STAT'
   kSecPerm = 0x5045524D,      // 'PERM'
   kSecSchedule = 0x53434844,  // 'SCHD'
-  kSecSweep = 0x53574550,     // 'SWEP'
   kSecLevels = 0x4C564C53,    // 'LVLS'
   kSecSplit = 0x53504C54,     // 'SPLT'
   kSecPacked = 0x50434B44,    // 'PCKD'
@@ -385,21 +383,6 @@ void save_plan(const MpkPlan& plan, std::ostream& out) {
   w.vec(plan.schedule_.block_ptr);
   w.vec(plan.schedule_.color_ptr);
 
-  w.begin_section(kSecSweep);
-  const SweepSchedule& ss = plan.sweep_schedule_;
-  w.pod(ss.num_threads);
-  w.pod(ss.num_colors);
-  w.pod(ss.num_blocks);
-  w.vec(ss.part_ptr);
-  w.vec(ss.part_blocks);
-  w.vec(ss.fwd_dep_ptr);
-  w.vec(ss.fwd_deps);
-  w.vec(ss.bwd_dep_ptr);
-  w.vec(ss.bwd_deps);
-  w.vec(ss.all_dep_ptr);
-  w.vec(ss.all_deps);
-  w.vec(ss.load);
-
   // The level-blocked stage schedule (empty for ABMC and serial plans).
   w.begin_section(kSecLevels);
   const LevelSweepSchedule& ls = plan.level_sweep_schedule_;
@@ -566,6 +549,11 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   plan.opts_.scheduler = r.enumeration<Scheduler>(2, "scheduler");
   plan.opts_.variant = r.enumeration<FbVariant>(2, "variant");
   plan.opts_.sweep.sync = r.enumeration<SweepSync>(2, "sweep sync");
+  FBMPK_CHECK_CODE(plan.opts_.scheduler != Scheduler::kAbmc ||
+                       plan.opts_.sweep.sync == SweepSync::kBarrier,
+                   ErrorCode::kCorruptPlan,
+                   "ABMC plan claims point-to-point sync (ABMC plans run "
+                   "the per-color barrier kernel)");
   plan.opts_.sweep.threads = r.pod<index_t>();
   FBMPK_CHECK_CODE(plan.opts_.sweep.threads >= 0, ErrorCode::kCorruptPlan,
                    "negative sweep thread count in plan");
@@ -627,27 +615,6 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
                   "schedule color_ptr");
   plan.schedule_.perm = plan.perm_;
   r.end_section(sec, "schedule");
-
-  sec = r.begin_section(kSecSweep, "sweep");
-  SweepSchedule& ss = plan.sweep_schedule_;
-  ss.num_threads = r.pod<index_t>();
-  ss.num_colors = r.pod<index_t>();
-  ss.num_blocks = r.pod<index_t>();
-  ss.part_ptr = r.vec<std::vector<index_t>>();
-  ss.part_blocks = r.vec<std::vector<index_t>>();
-  ss.fwd_dep_ptr = r.vec<std::vector<index_t>>();
-  ss.fwd_deps = r.vec<std::vector<SweepDep>>();
-  ss.bwd_dep_ptr = r.vec<std::vector<index_t>>();
-  ss.bwd_deps = r.vec<std::vector<SweepDep>>();
-  ss.all_dep_ptr = r.vec<std::vector<index_t>>();
-  ss.all_deps = r.vec<std::vector<index_t>>();
-  ss.load = r.vec<std::vector<index_t>>();
-  FBMPK_CHECK_CODE(ss.num_threads >= 0, ErrorCode::kCorruptPlan,
-                   "negative sweep schedule thread count in plan");
-  FBMPK_CHECK_CODE(ss.empty() || validate_sweep_schedule(ss, plan.schedule_),
-                   ErrorCode::kCorruptPlan,
-                   "sweep schedule fails structural validation");
-  r.end_section(sec, "sweep");
 
   sec = r.begin_section(kSecLevels, "levels");
   LevelSweepSchedule& ls = plan.level_sweep_schedule_;
@@ -729,7 +696,7 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
     // The CRC already rejects raw byte flips; this decode-compare
     // additionally rejects any internally-consistent sidecar that does
     // not reproduce the split's column stream (same discipline as the
-    // sweep schedule's structural re-validation).
+    // level schedule's structural re-validation).
     FBMPK_CHECK_CODE(
         plan.packed_.lower.matches(plan.split_.lower.rows(),
                                    plan.split_.lower.row_ptr().data(),
@@ -785,27 +752,13 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
                        plan.perm_.size() == plan.n_,
                    ErrorCode::kCorruptPlan, "inconsistent plan payload");
 
-  // A schedule is data for one thread count. When the plan wants the
-  // runtime default (threads == 0) and this process's default differs
-  // from the stored one, rebuild from the (already validated) split
-  // rather than failing or silently running a mismatched schedule.
-  if (plan.opts_.parallel && plan.opts_.scheduler == Scheduler::kAbmc &&
-      plan.opts_.sweep.sync == SweepSync::kPointToPoint) {
-    const index_t want = plan.opts_.sweep.threads > 0
-                             ? plan.opts_.sweep.threads
-                             : static_cast<index_t>(max_threads());
-    if (plan.sweep_schedule_.num_threads != want) {
-      plan.sweep_schedule_ =
-          build_sweep_schedule(plan.schedule_, plan.split_, want);
-      plan.stats_.sweep_threads = want;
-    }
-  }
-
-  // Same discipline for the level-blocked schedule: structurally
-  // re-validate a loaded one against the (renumbered) split, and
-  // rebuild the schedule, the renumbering and the sidecars (which hold
-  // the split's rows in its numbering) together when it was built for
-  // a different thread count.
+  // Structurally re-validate a loaded level-blocked schedule against
+  // the (renumbered) split. A schedule is data for one thread count:
+  // when the plan wants another (threads == 0 means the runtime
+  // default, which may differ from the build host's), rebuild the
+  // schedule, the renumbering and the sidecars (which hold the split's
+  // rows in its numbering) together rather than failing or silently
+  // running a mismatched schedule.
   if (plan.level_plan()) {
     FBMPK_CHECK_CODE(validate_level_sweep_schedule(plan.level_sweep_schedule_,
                                                    plan.split_),

@@ -2,7 +2,7 @@
 // paper's methodology assumes (§IV-C: the split/reorder "can often be
 // performed offline when storing the matrix data", §V-F: one-off cost).
 //
-// Format v8 (docs/ROBUSTNESS.md): little-endian native dump with a
+// Format v10 (docs/ROBUSTNESS.md): little-endian native dump with a
 // magic/version header, a CRC32 over the whole payload, and per-section
 // length framing. Intended for same-architecture reload of a stored
 // plan, not as an interchange format or an archive: a build reads
@@ -27,13 +27,13 @@
 
 namespace fbmpk {
 
-/// Serialize a built plan (format v8, checksummed).
+/// Serialize a built plan (format v10, checksummed).
 void save_plan(const MpkPlan& plan, std::ostream& out);
 void save_plan_file(const MpkPlan& plan, const std::string& path);
 
 /// Reconstruct a plan. Throws fbmpk::Error with kCorruptPlan on bad
 /// magic, checksum or framing violations, kVersionMismatch on any
-/// version other than v8 or a foreign index width, kIo when the file
+/// version other than v10 or a foreign index width, kIo when the file
 /// cannot be opened.
 MpkPlan load_plan(std::istream& in);
 MpkPlan load_plan_file(const std::string& path);

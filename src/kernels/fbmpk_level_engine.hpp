@@ -5,22 +5,25 @@
 // thread's forward rows are one contiguous range (docs/PARALLELISM.md);
 // the engine itself walks the schedule's slots in any numbering.
 //
-// Epoch protocol — the ABMC engine's (fbmpk_parallel.hpp), with stages
-// in place of colors. With SF forward and SB backward stages and
-// `pairs` forward/backward pairs, each thread walks
+// Epoch protocol. Each thread owns one monotone counter
+// (detail::SweepEpoch, one cache line each), bumped with release order
+// after every stage; a dependency is an acquire-order wait for a
+// foreign counter to reach a stage's value (detail::sweep_wait). With
+// SF forward and SB backward stages and `pairs` forward/backward
+// pairs, each thread walks
 //   head0, head1, {F_0..F_{SF-1}, B_0..B_{SB-1}} x pairs, [tail]
-// bumping its epoch counter after every stage: 1 after head0, 2 after
-// head1, base + s + 1 after F_s and base + SF + s + 1 after B_s of
-// pair `it` (base = 2 + it*(SF+SB)).
+// so its counter reads 1 after head0, 2 after head1, base + s + 1 after
+// F_s and base + SF + s + 1 after B_s of pair `it`
+// (base = 2 + it*(SF+SB)): "thread u finished F_s of this pair" is the
+// predicate epoch[u] >= base + s + 1.
 //
-// One structural difference from ABMC: forward and backward sweeps own
-// rows independently (their level structures differ), so the transitive
-// argument that lets ABMC cover cross-pair dependencies with within-pair
-// waits does not apply. Instead every thread performs one all-thread
-// rendezvous wait_all(base) before F_0 of each pair — covering every
-// read of pair-boundary state (even xy slots, tmp) and every
-// antidependency against the previous pair — and all within-pair
-// synchronization is point-to-point per the derivation in
+// Forward and backward sweeps own rows independently (their level
+// structures differ), so within-pair waits cannot cover the reads and
+// antidependencies that cross a pair boundary. Instead every thread
+// performs one all-thread rendezvous wait_all(base) before F_0 of each
+// pair — covering every read of pair-boundary state (even xy slots,
+// tmp) and every antidependency against the previous pair — and all
+// within-pair synchronization is point-to-point per the derivation in
 // level_blocking.hpp. Every dependency targets a strictly earlier stage
 // in the walk and every thread bumps through every stage (even with an
 // empty partition or after cancellation), so the wait graph is acyclic:
@@ -28,6 +31,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <utility>
@@ -37,11 +41,97 @@
 #include "kernels/fbmpk_parallel.hpp"
 #include "reorder/level_blocking.hpp"
 #include "sparse/split.hpp"
+#include "support/aligned_buffer.hpp"
 #include "support/error.hpp"
 #include "support/threading.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fbmpk {
+
+/// Workspace of the persistent-threads engine. The buffers are
+/// allocated *uninitialized* on purpose: the head stage writes every
+/// element of xy and tmp through the owning (thread, stage) slot,
+/// so on a first-touch NUMA policy each page lands on the node of the
+/// thread that will keep streaming it. A value-initializing vector
+/// would have the allocating thread touch (and place) everything.
+/// `fallback` backs the barrier kernel when the engine cannot run
+/// (team-size mismatch, empty schedule).
+template <class T>
+struct SweepWorkspace {
+  SweepWorkspace() = default;
+
+  void resize(index_t n) {
+    if (n == n_) return;
+    xy_.reset(raw_alloc(2 * static_cast<std::size_t>(n)));
+    tmp_.reset(raw_alloc(static_cast<std::size_t>(n)));
+    n_ = n;
+    warmed = false;
+  }
+
+  T* xy() { return xy_.get(); }
+  T* tmp() { return tmp_.get(); }
+  index_t size() const { return n_; }
+
+  /// Set once the split arrays have been streamed by their owning
+  /// threads (cold-start cache/NUMA warm pass, done on first use).
+  bool warmed = false;
+  FbWorkspace<T> fallback;
+
+ private:
+  struct FreeDeleter {
+    void operator()(T* p) const { std::free(p); }
+  };
+  static T* raw_alloc(std::size_t count) {
+    if (count == 0) return nullptr;
+    const std::size_t bytes =
+        (count * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
+        kCacheLineBytes;
+    void* p = std::aligned_alloc(kCacheLineBytes, bytes);
+    FBMPK_CHECK_MSG(p != nullptr, "sweep workspace allocation failed");
+    return static_cast<T*>(p);
+  }
+  std::unique_ptr<T[], FreeDeleter> xy_;
+  std::unique_ptr<T[], FreeDeleter> tmp_;
+  index_t n_ = 0;
+};
+
+namespace detail {
+
+/// One cache line per thread's epoch counter — threads spin on foreign
+/// counters, so sharing a line would turn every bump into a broadcast.
+struct alignas(kCacheLineBytes) SweepEpoch {
+  std::atomic<long long> value{0};
+};
+
+/// Wait until the epoch counter reaches `target`: `spin_rounds` polls
+/// (zero on oversubscribed teams, where spinning only steals the
+/// awaited thread's timeslice) through a default SpinWaiter — its 64
+/// pauses, then a sched_yield per poll, so a long spin phase mostly
+/// yields — then a futex-style block on the counter, the same
+/// sleeping a team barrier would do, but woken by the one thread this
+/// stage actually depends on. Pausing for all the polls instead
+/// measured no better on a power-law level plan and is exposed to a
+/// busy host. Returns whether the wait fell through to a futex block
+/// (telemetry classifies spin-satisfied vs blocked waits; callers
+/// otherwise ignore it).
+inline bool sweep_wait(std::atomic<long long>& e, long long target,
+                       int spin_rounds) {
+  SpinWaiter w;
+  for (int i = 0; i < spin_rounds; ++i) {
+    if (e.load(std::memory_order_acquire) >= target) return false;
+    w.wait();
+  }
+  long long cur = e.load(std::memory_order_acquire);
+  bool blocked = false;
+  while (cur < target) {
+    blocked = true;
+    e.wait(cur, std::memory_order_acquire);
+    cur = e.load(std::memory_order_acquire);
+  }
+  return blocked;
+}
+
+}  // namespace detail
 
 /// Point-to-point level engine. Returns false without touching any
 /// output when it cannot run safely (schedule empty, row-count
@@ -149,8 +239,10 @@ bool fbmpk_level_engine_try_sweep_rows(const TriangularSplit<T>& s,
                                fbmpk_rec.wait_end(fbmpk_blocked);)
     };
 
-    // head0: xy even slots <- x0 over forward-owned rows (first-touch
-    // pass; the split warm read rides along as in the ABMC engine).
+    // head0: xy even slots <- x0 over forward-owned rows. This is the
+    // first-touch pass for xy; the warm read of the split arrays rides
+    // along (a row's CSR data is read only by the thread that owns it
+    // in this walk, so the warm read races with nothing).
     T sink{};
     stage_dead();
     FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_begin();)

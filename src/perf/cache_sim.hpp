@@ -14,8 +14,8 @@
 //     bench_fig09_memory to replay a serial kernel exactly.
 //   * SharedCacheSim — N cores with private L1/L2 over one shared
 //     *inclusive* LLC, used by the autotune oracle (perf/sweep_replay)
-//     to replay each (thread, color) partition of a SweepSchedule
-//     through its own core. Inclusion is enforced by back-invalidation:
+//     to replay each (thread, color) partition of a sweep through its
+//     own core. Inclusion is enforced by back-invalidation:
 //     when the LLC evicts a line, every private copy is dropped, and a
 //     dirty copy anywhere makes the eviction a DRAM write. It is a
 //     traffic model, not a coherence model — the FBMPK partitions write

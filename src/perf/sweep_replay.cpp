@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "kernels/sweep_schedule.hpp"
 #include "support/timer.hpp"
 
 namespace fbmpk::perf {
@@ -61,8 +60,7 @@ struct ReplayWorld {
 };
 
 ReplayWorld build_world(const CsrMatrix<double>& a, const AbmcOrdering* ord,
-                        int threads, index_t max_sample_rows,
-                        const SweepSchedule* sched) {
+                        int threads, index_t max_sample_rows) {
   const index_t n = a.rows();
   ReplayWorld w;
 
@@ -148,46 +146,17 @@ ReplayWorld build_world(const CsrMatrix<double>& a, const AbmcOrdering* ord,
   for (auto& c : w.lo_cols) c = compact(c);
   for (auto& c : w.up_cols) c = compact(c);
 
-  // Partition each color's sampled blocks across the simulated cores:
-  // the built schedule's nnz-LPT assignment when one is supplied and
-  // matches, round-robin otherwise (a fair stand-in — the oracle ranks
-  // traffic, which barely moves with the intra-color assignment).
-  std::vector<index_t> thread_of_block;
-  if (sched != nullptr && !sched->empty() &&
-      sched->num_threads == static_cast<index_t>(threads) &&
-      sched->num_blocks == num_blocks) {
-    thread_of_block.assign(static_cast<std::size_t>(num_blocks), 0);
-    for (index_t t = 0; t < sched->num_threads; ++t)
-      for (index_t c = 0; c < sched->num_colors; ++c) {
-        const index_t slot = t * sched->num_colors + c;
-        for (index_t i = sched->part_ptr[slot];
-             i < sched->part_ptr[slot + 1]; ++i)
-          thread_of_block[static_cast<std::size_t>(
-              sched->part_blocks[i])] = t;
-      }
-  }
+  // Deal each color's sampled blocks round-robin across the simulated
+  // cores (a fair stand-in for the kernel's static split: the oracle
+  // ranks traffic, which barely moves with the intra-color assignment).
   w.parts.assign(static_cast<std::size_t>(w.num_colors),
                  std::vector<std::vector<std::uint32_t>>(
                      static_cast<std::size_t>(threads)));
   std::vector<index_t> rr(static_cast<std::size_t>(w.num_colors), 0);
-  // Recover each sampled block's original id by walking in step with
-  // the sampling loop above (blocks are appended in block order).
-  {
-    std::size_t sbi = 0;
-    for (index_t b = 0; b < num_blocks && sbi < w.blocks.size(); ++b) {
-      if (b % stride != 0) continue;
-      if (block_ptr[b + 1] == block_ptr[b]) continue;  // empty block
-      const SampledBlock& sb = w.blocks[sbi];
-      index_t t;
-      if (!thread_of_block.empty())
-        t = thread_of_block[static_cast<std::size_t>(b)];
-      else
-        t = rr[static_cast<std::size_t>(sb.color)]++ % threads;
-      w.parts[static_cast<std::size_t>(sb.color)]
-             [static_cast<std::size_t>(t)]
-                 .push_back(static_cast<std::uint32_t>(sbi));
-      ++sbi;
-    }
+  for (std::size_t sbi = 0; sbi < w.blocks.size(); ++sbi) {
+    const auto c = static_cast<std::size_t>(w.blocks[sbi].color);
+    const auto t = static_cast<std::size_t>(rr[c]++ % threads);
+    w.parts[c][t].push_back(static_cast<std::uint32_t>(sbi));
   }
   return w;
 }
@@ -397,8 +366,7 @@ ReplayPrediction run_replay(const CsrMatrix<double>& a, const ReplayWorld& w,
 
 ReplayPrediction replay_fbmpk_traffic(const CsrMatrix<double>& a,
                                       const AbmcOrdering* ord,
-                                      const ReplayConfig& cfg,
-                                      const SweepSchedule* sched) {
+                                      const ReplayConfig& cfg) {
   FBMPK_CHECK(cfg.k >= 1 && cfg.threads >= 1 && cfg.nvec >= 1);
   FBMPK_CHECK(cfg.col_index_bytes > 0.0 && cfg.matrix_value_bytes > 0);
   Timer timer;
@@ -406,7 +374,7 @@ ReplayPrediction replay_fbmpk_traffic(const CsrMatrix<double>& a,
   if (n == 0) return {};
 
   const ReplayWorld w =
-      build_world(a, ord, cfg.threads, cfg.max_sample_rows, sched);
+      build_world(a, ord, cfg.threads, cfg.max_sample_rows);
 
   const auto for_color = [&](index_t c, bool rows_forward, auto&& visit) {
     const auto& threads = w.parts[static_cast<std::size_t>(c)];
@@ -452,7 +420,7 @@ ReplayPrediction replay_fbmpk_level_traffic(const CsrMatrix<double>& a,
   // ABMC replay's; rows absent from the sample are simply skipped in
   // the level walk below.
   const ReplayWorld w =
-      build_world(a, nullptr, cfg.threads, cfg.max_sample_rows, nullptr);
+      build_world(a, nullptr, cfg.threads, cfg.max_sample_rows);
 
   const auto rank_of = [&](index_t p) -> index_t {
     const auto it = std::lower_bound(

@@ -29,10 +29,6 @@
 #include "reorder/level_schedule.hpp"
 #include "sparse/csr.hpp"
 
-namespace fbmpk {
-struct SweepSchedule;  // kernels/sweep_schedule.hpp
-}
-
 namespace fbmpk::perf {
 
 /// One replay's knobs — the candidate configuration being priced.
@@ -76,13 +72,10 @@ struct ReplayPrediction {
 /// traffic. `ord` supplies the permutation and the (color, block)
 /// structure; nullptr models the natural order as one color of
 /// contiguous blocks (a serial plan). Blocks of one color are
-/// distributed round-robin across the simulated cores unless `sched`
-/// (a built SweepSchedule matching `ord` and cfg.threads) supplies the
-/// exact nnz-balanced partition.
+/// distributed round-robin across the simulated cores.
 ReplayPrediction replay_fbmpk_traffic(const CsrMatrix<double>& a,
                                       const AbmcOrdering* ord,
-                                      const ReplayConfig& cfg,
-                                      const SweepSchedule* sched = nullptr);
+                                      const ReplayConfig& cfg);
 
 /// Level-scheduled replay (Scheduler::kLevels): the same stage walk,
 /// but rows are visited in dependency-level order over the NATURAL

@@ -15,8 +15,7 @@ AbmcOrdering abmc_order(const CsrPattern& pattern, const AbmcOptions& opts) {
   const Blocking blocking =
       build_blocking(g, n, opts.num_blocks, opts.blocking);
   const AdjacencyGraph q =
-      block_quotient(std::span<const CsrPattern>(&pattern, 1),
-                     blocking.block_of, blocking.num_blocks);
+      block_quotient(pattern, blocking.block_of, blocking.num_blocks);
   const Coloring coloring = greedy_color(q, opts.coloring);
 
   // Stable-sort block ids by color; ties keep block order, which keeps

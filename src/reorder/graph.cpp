@@ -45,11 +45,11 @@ AdjacencyGraph adjacency_from_pattern(const CsrPattern& a) {
   return from_neighbor_lists(nbrs);
 }
 
-AdjacencyGraph block_quotient(std::span<const CsrPattern> patterns,
+AdjacencyGraph block_quotient(const CsrPattern& pattern,
                               std::span<const index_t> block_of,
                               index_t num_blocks) {
   const auto n = static_cast<index_t>(block_of.size());
-  for (const CsrPattern& p : patterns) FBMPK_CHECK(p.rows() == n);
+  FBMPK_CHECK(pattern.rows() == n);
 
   // Rows grouped by block (counting sort), so one task scans one block.
   std::vector<index_t> rows_ptr(static_cast<std::size_t>(num_blocks) + 1, 0);
@@ -78,15 +78,14 @@ AdjacencyGraph block_quotient(std::span<const CsrPattern> patterns,
     const ThreadRange r = static_chunk(num_blocks, t, team);
     for (auto b = static_cast<index_t>(r.begin); b < r.end; ++b)
       for (index_t s = rows_ptr[b]; s < rows_ptr[b + 1]; ++s)
-        for (const CsrPattern& p : patterns)
-          for (index_t k = p.row_ptr[rows[s]]; k < p.row_ptr[rows[s] + 1];
-               ++k) {
-            const index_t nb = block_of[p.col_idx[k]];
-            if (nb != b && stamp[nb] != b) {
-              stamp[nb] = b;
-              reached[b].push_back(nb);
-            }
+        for (index_t k = pattern.row_ptr[rows[s]];
+             k < pattern.row_ptr[rows[s] + 1]; ++k) {
+          const index_t nb = block_of[pattern.col_idx[k]];
+          if (nb != b && stamp[nb] != b) {
+            stamp[nb] = b;
+            reached[b].push_back(nb);
           }
+        }
   });
 
   // Every forward edge is an undirected one: record it at both ends. An

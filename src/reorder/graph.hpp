@@ -58,16 +58,15 @@ AdjacencyGraph adjacency_from_matrix(const CsrMatrix<T>& a) {
   return adjacency_from_pattern(pattern_of(a));
 }
 
-/// Block quotient graph of the symmetrized union of `patterns`, read
-/// straight from the CSR patterns without building the row-level graph:
-/// vertices are blocks, and blocks P != Q are adjacent iff some stored
-/// entry (i, j) of any pattern has {block_of[i], block_of[j]} = {P, Q}.
-/// Equal to quotienting adjacency_from_pattern(union of patterns); ABMC
-/// runs it on A, the sweep schedule on the L and U triangles. Scans rows
+/// Block quotient graph of the symmetrized `pattern`, read straight
+/// from the CSR pattern without building the row-level graph: vertices
+/// are blocks, and blocks P != Q are adjacent iff some stored entry
+/// (i, j) has {block_of[i], block_of[j]} = {P, Q}. Equal to quotienting
+/// adjacency_from_pattern(pattern); ABMC runs it on A. Scans rows
 /// block-parallel; the graph is the same at any thread count.
-/// `block_of[v]` must lie in [0, num_blocks) and every pattern must have
+/// `block_of[v]` must lie in [0, num_blocks) and the pattern must have
 /// block_of.size() rows.
-AdjacencyGraph block_quotient(std::span<const CsrPattern> patterns,
+AdjacencyGraph block_quotient(const CsrPattern& pattern,
                               std::span<const index_t> block_of,
                               index_t num_blocks);
 

@@ -4,7 +4,7 @@
 //
 // A naive level kernel pays one team barrier per dependency level —
 // thousands of barriers per sweep on matrices with long dependency
-// chains. Level blocking recovers the ABMC engine's synchronization
+// chains. Level blocking recovers a coloring's few-sync-points
 // structure without recoloring the matrix:
 //
 //  - consecutive levels are aggregated into STAGES sized to a cache
@@ -20,8 +20,8 @@
 //    consumers — the blocking invariant validate_level_sweep_schedule
 //    enforces;
 //  - cross-stage edges become point-to-point dependencies consumed by
-//    the persistent-threads level engine (fbmpk_level_engine.hpp) with
-//    the same epoch-counter protocol as the ABMC engine. Because the
+//    the persistent-threads level engine (fbmpk_level_engine.hpp) and
+//    its per-thread epoch-counter protocol. Because the
 //    forward and backward sweeps own rows independently (their level
 //    structures differ), cross-PAIR dependencies are covered by one
 //    all-thread rendezvous at each pair boundary; all within-pair

@@ -7,9 +7,9 @@
 // backward pass (L row range + U row range + diagonal), and blocks of
 // one color are distributed with greedy LPT (longest processing time
 // first) — the classic 4/3-approximation of makespan scheduling. The
-// resulting partition is what the sweep-schedule engine executes
-// (kernels/sweep_schedule.hpp) and what the cost model's imbalance
-// metric scores (perf/cost_model.hpp).
+// cost model's imbalance metric scores the resulting partition against
+// the barrier kernel's static split (perf/cost_model.hpp,
+// bench_scheduler_ablation).
 #pragma once
 
 #include <span>

@@ -34,6 +34,15 @@ Clock::duration seconds_to_duration(double s) {
       std::chrono::duration<double>(s));
 }
 
+ExecPath exec_path(Rung rung) {
+  switch (rung) {
+    case Rung::kEngine: return ExecPath::kEngine;
+    case Rung::kBarrier: return ExecPath::kBarrier;
+    case Rung::kSerial: break;
+  }
+  return ExecPath::kSerial;
+}
+
 bool all_finite(std::span<const double> v) {
   for (double x : v)
     if (!std::isfinite(x)) return false;
@@ -294,17 +303,52 @@ Status MpkService::run_rung(const std::shared_ptr<Request>& req,
   if (rung != Rung::kSerial && fault::should_fire(fault::Point::kAlloc))
     return Error(ErrorCode::kResourceLimit,
                  "injected sweep-scratch allocation failure");
-  ExecPath path = ExecPath::kSerial;
-  switch (rung) {
-    case Rung::kEngine: path = ExecPath::kEngine; break;
-    case Rung::kBarrier: path = ExecPath::kBarrier; break;
-    case Rung::kSerial: path = ExecPath::kSerial; break;
-  }
   FBMPK_TSPAN_ARGS(kService, "service.rung",
                    {.k = req->k, .req = static_cast<std::int64_t>(req->id)});
   return plan.try_power(std::span<const double>(req->x.data(), req->x.size()),
                         req->k, std::span<double>(req->y.data(), req->y.size()),
-                        ws, path, &req->ctl);
+                        ws, exec_path(rung), &req->ctl);
+}
+
+Status MpkService::run_ladder(PlanCache::Entry& entry,
+                              const std::function<Status(Rung)>& run,
+                              Rung& rung, int& steps) {
+  // A rung the plan does not have is skipped, never tried: trying it
+  // would blame it for the next injected or real failure.
+  const auto supported_from = [&](int i) {
+    while (!entry.plan->supports(exec_path(static_cast<Rung>(i)))) ++i;
+    return i;
+  };
+  int rung_i = supported_from(
+      std::clamp(entry.degrade_level.load(std::memory_order_acquire), 0,
+                 static_cast<int>(Rung::kSerial)));
+  steps = 0;
+  Status st;
+  for (;;) {
+    rung = static_cast<Rung>(rung_i);
+    st = run(rung);
+    if (st.ok()) break;
+    const ErrorCode code = st.code();
+    // Cancellation is final — degrading a cancelled request would
+    // burn more time the caller already gave up on.
+    if (code == ErrorCode::kCancelled || code == ErrorCode::kTimeout) break;
+    if (rung == Rung::kSerial || !opts_.allow_degradation) break;
+    // Genuine rung failure: step the ladder, stick the plan to the
+    // lower rung, and record the transition.
+    FBMPK_TSPAN(kService, "service.degrade");
+    if (rung == Rung::kEngine) {
+      degrade_engine_to_barrier_.fetch_add(1, std::memory_order_relaxed);
+      FBMPK_TCOUNT("service.degrade.engine_to_barrier", 1);
+    } else {
+      degrade_barrier_to_serial_.fetch_add(1, std::memory_order_relaxed);
+      FBMPK_TCOUNT("service.degrade.barrier_to_serial", 1);
+    }
+    maybe_flight_dump("degrade");
+    ++steps;
+    rung_i = supported_from(rung_i + 1);
+    entry.degrade_level.store(rung_i, std::memory_order_release);
+  }
+  return st;
 }
 
 void MpkService::execute(const std::shared_ptr<Request>& req) {
@@ -338,44 +382,14 @@ void MpkService::execute(const std::shared_ptr<Request>& req) {
 
   req->running.store(true, std::memory_order_release);
   MpkPlan::Workspace ws;
-  int rung_i = std::clamp(entry->degrade_level.load(std::memory_order_acquire),
-                          0, static_cast<int>(Rung::kSerial));
+  Rung rung_used = Rung::kSerial;
   int steps = 0;
   bool precision_rebuilt = false;
-  Status st;
-  for (;;) {
-    const Rung rung = static_cast<Rung>(rung_i);
-    st = run_rung(req, *entry->plan, rung, ws);
-    if (st.ok()) break;
-    const ErrorCode code = st.code();
-    // Cancellation is final — degrading a cancelled request would
-    // burn more time the caller already gave up on.
-    if (code == ErrorCode::kCancelled || code == ErrorCode::kTimeout) break;
-    if (rung_i >= static_cast<int>(Rung::kSerial)) break;
-    if (code == ErrorCode::kUnsupported) {
-      // Capability gap (plan has no engine schedule / no ABMC
-      // coloring), not a runtime failure: fall through silently.
-      ++rung_i;
-      continue;
-    }
-    if (!opts_.allow_degradation) break;
-    // Genuine rung failure: step the ladder, stick the plan to the
-    // lower rung, and record the transition.
-    FBMPK_TSPAN(kService, "service.degrade");
-    if (rung == Rung::kEngine) {
-      degrade_engine_to_barrier_.fetch_add(1, std::memory_order_relaxed);
-      FBMPK_TCOUNT("service.degrade.engine_to_barrier", 1);
-    } else {
-      degrade_barrier_to_serial_.fetch_add(1, std::memory_order_relaxed);
-      FBMPK_TCOUNT("service.degrade.barrier_to_serial", 1);
-    }
-    maybe_flight_dump("degrade");
-    ++steps;
-    ++rung_i;
-    entry->degrade_level.store(rung_i, std::memory_order_release);
-  }
+  Status st = run_ladder(
+      *entry,
+      [&](Rung rung) { return run_rung(req, *entry->plan, rung, ws); },
+      rung_used, steps);
 
-  const Rung rung_used = static_cast<Rung>(rung_i);
   certify_result(req, st, rung_used, ws, precision_rebuilt);
   req->running.store(false, std::memory_order_release);
   complete(req, st, rung_used, steps, cache_hit, precision_rebuilt);
@@ -507,54 +521,23 @@ void MpkService::execute_batch(
     ys.push_back(r->y.data());
   }
 
-  const auto run_batch_rung = [&](Rung rung) -> Status {
-    if (rung != Rung::kSerial && fault::should_fire(fault::Point::kAlloc))
-      return Error(ErrorCode::kResourceLimit,
-                   "injected sweep-scratch allocation failure");
-    ExecPath path = ExecPath::kSerial;
-    switch (rung) {
-      case Rung::kEngine: path = ExecPath::kEngine; break;
-      case Rung::kBarrier: path = ExecPath::kBarrier; break;
-      case Rung::kSerial: path = ExecPath::kSerial; break;
-    }
-    FBMPK_TSPAN_ARGS(kService, "service.batch_rung", {.k = seed->k});
-    return entry->plan->try_power_batch(xs.data(),
-                                        static_cast<index_t>(xs.size()),
-                                        seed->k, ys.data(), path, &exec->ctl);
-  };
-
   // Same degradation ladder as the single-vector path, shared sticky
   // rung on the cached plan.
-  int rung_i = std::clamp(
-      entry->degrade_level.load(std::memory_order_acquire), 0,
-      static_cast<int>(Rung::kSerial));
+  Rung rung_used = Rung::kSerial;
   int steps = 0;
-  Status st;
-  for (;;) {
-    const Rung rung = static_cast<Rung>(rung_i);
-    st = run_batch_rung(rung);
-    if (st.ok()) break;
-    const ErrorCode code = st.code();
-    if (code == ErrorCode::kCancelled || code == ErrorCode::kTimeout) break;
-    if (rung_i >= static_cast<int>(Rung::kSerial)) break;
-    if (code == ErrorCode::kUnsupported) {
-      ++rung_i;
-      continue;
-    }
-    if (!opts_.allow_degradation) break;
-    FBMPK_TSPAN(kService, "service.degrade");
-    if (rung == Rung::kEngine) {
-      degrade_engine_to_barrier_.fetch_add(1, std::memory_order_relaxed);
-      FBMPK_TCOUNT("service.degrade.engine_to_barrier", 1);
-    } else {
-      degrade_barrier_to_serial_.fetch_add(1, std::memory_order_relaxed);
-      FBMPK_TCOUNT("service.degrade.barrier_to_serial", 1);
-    }
-    maybe_flight_dump("degrade");
-    ++steps;
-    ++rung_i;
-    entry->degrade_level.store(rung_i, std::memory_order_release);
-  }
+  const Status st = run_ladder(
+      *entry,
+      [&](Rung rung) -> Status {
+        if (rung != Rung::kSerial &&
+            fault::should_fire(fault::Point::kAlloc))
+          return Error(ErrorCode::kResourceLimit,
+                       "injected sweep-scratch allocation failure");
+        FBMPK_TSPAN_ARGS(kService, "service.batch_rung", {.k = seed->k});
+        return entry->plan->try_power_batch(
+            xs.data(), static_cast<index_t>(xs.size()), seed->k, ys.data(),
+            exec_path(rung), &exec->ctl);
+      },
+      rung_used, steps);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -565,7 +548,6 @@ void MpkService::execute_batch(
   // reason (its lane's work was shared, but its answer was abandoned);
   // survivors get the batch status, then per-member certification with
   // the usual single-vector fp64 rebuild path.
-  const Rung rung_used = static_cast<Rung>(rung_i);
   MpkPlan::Workspace ws;
   bool any_timeout = false;
   for (const auto& r : live) {

@@ -14,7 +14,8 @@
 //    color/k boundaries (kTimeout), and quarantines a plan whose
 //    sweep stops making progress past a grace period;
 //  - a graceful-degradation ladder: p2p engine -> barrier kernel ->
-//    serial sweep, stepped on resource failures, plus an opt-in
+//    serial sweep, entered at the plan's first supported rung
+//    (MpkPlan::supports) and stepped on resource failures, plus an opt-in
 //    fp32 -> fp64 plan rebuild when precision certification fails.
 //    The rung is sticky per cached plan, and every transition is
 //    recorded (service.degrade.* counters + a kService span);
@@ -38,6 +39,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -55,7 +57,9 @@
 namespace fbmpk::service {
 
 /// Degradation-ladder rungs, fastest first. Each maps onto one
-/// MpkPlan::ExecPath; kSerial always succeeds (modulo cancellation).
+/// ExecPath; kSerial always succeeds (modulo cancellation). Only level
+/// plans with point-to-point sync have the engine rung, and only
+/// parallel plans the barrier rung.
 enum class Rung : int { kEngine = 0, kBarrier = 1, kSerial = 2 };
 
 const char* rung_name(Rung r);
@@ -169,6 +173,15 @@ class MpkService {
   void execute_batch(const std::vector<std::shared_ptr<Request>>& batch);
   Status run_rung(const std::shared_ptr<Request>& req, const MpkPlan& plan,
                   Rung rung, MpkPlan::Workspace& ws);
+  /// The degradation ladder shared by single and batched execution:
+  /// runs `run` from the entry's sticky rung, or from the plan's first
+  /// supported rung if that is lower, stepping down (and sticking the
+  /// entry there) on each genuine failure. Stops on success,
+  /// cancellation, timeout, the serial floor, or any failure when
+  /// degradation is off. Reports the last rung run and the steps taken.
+  Status run_ladder(PlanCache::Entry& entry,
+                    const std::function<Status(Rung)>& run, Rung& rung,
+                    int& steps);
   /// Post-sweep precision certification for one request's result, with
   /// the optional one-shot fp64 rebuild. Updates st in place; sets
   /// precision_rebuilt when the rebuild path ran.

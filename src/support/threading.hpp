@@ -12,7 +12,7 @@
 //  - spin-wait helpers:       cpu_pause() + SpinWaiter (pause, then
 //                             yield — mandatory on oversubscribed hosts)
 //  - pinning helpers:         optional compact thread->cpu pinning for
-//                             the persistent-threads sweep engine
+//                             the persistent-threads level engine
 //                             (docs/PARALLELISM.md)
 #pragma once
 

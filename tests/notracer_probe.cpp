@@ -12,7 +12,8 @@
 // The same object also polices the telemetry kill switch: this TU
 // force-disables the instrumentation macros (FBMPK_TELEMETRY_FORCE_OFF,
 // mirroring what an FBMPK_TELEMETRY=OFF build does globally) and
-// instantiates the barrier and engine sweeps. check_notracer.cmake then
+// instantiates the ABMC barrier sweep and the point-to-point level
+// engine. check_notracer.cmake then
 // asserts no fbmpk::telemetry symbol survives — proof that the spans,
 // recorders and counters compile to nothing on the hot paths.
 //
@@ -23,6 +24,7 @@
 #include <span>
 
 #include "kernels/fbmpk.hpp"
+#include "kernels/fbmpk_level_engine.hpp"
 #include "kernels/fbmpk_parallel.hpp"
 #include "sparse/split.hpp"
 
@@ -46,12 +48,12 @@ void run_parallel(const TriangularSplit<double>& s, const AbmcOrdering& o,
   fbmpk_parallel_power(s, o, x, k, y, ws);
 }
 
-bool run_engine(const TriangularSplit<double>& s, const AbmcOrdering& o,
-                const SweepSchedule& sched, std::span<const double> x, int k,
-                SweepWorkspace<double>& ws, std::span<double> y) {
+bool run_engine(const TriangularSplit<double>& s,
+                const LevelSweepSchedule& sched, std::span<const double> x,
+                int k, SweepWorkspace<double>& ws, std::span<double> y) {
   double* yp = y.data();
-  return fbmpk_engine_try_sweep(
-      s, o, sched, x, k, ws, /*pin_threads=*/false,
+  return fbmpk_level_engine_try_sweep_rows<double, double>(
+      s, sched, ScalarRows<double>(s), x, k, ws, /*pin_threads=*/false,
       [&](int p, index_t i, double v) {
         if (p == k) yp[i] = v;
       });

@@ -315,6 +315,24 @@ TEST(AutotuneFaults, KernelConfigSkipsFailedCandidate) {
 // Scheduler race (docs/AUTOTUNING.md §the-scheduler-race).
 // ---------------------------------------------------------------------------
 
+TEST(Autotune, SweepSyncRacesOnlyLevelPlans) {
+  // ABMC plans run the barrier kernel only: nothing to build or time.
+  // A level plan races both syncs.
+  const auto a = test::random_matrix(200, 6.0, true, 17);
+  const int dflt = max_threads();
+  set_threads(2);
+  const SweepSyncResult abmc = autotune_sweep_sync(a, 3, /*reps=*/1);
+  PlanOptions levels;
+  levels.scheduler = Scheduler::kLevels;
+  const SweepSyncResult lv = autotune_sweep_sync(a, 3, /*reps=*/1, levels);
+  set_threads(dflt);
+  EXPECT_EQ(abmc.best, SweepSync::kBarrier);
+  EXPECT_EQ(abmc.barrier_seconds, 0.0);
+  EXPECT_EQ(abmc.point_to_point_seconds, 0.0);
+  EXPECT_GT(lv.barrier_seconds, 0.0);
+  EXPECT_GT(lv.point_to_point_seconds, 0.0);
+}
+
 TEST(AutotuneScheduler, StructuralShortcutsSkipTheRace) {
   const auto a = gen::make_laplacian_2d(20, 20);
 

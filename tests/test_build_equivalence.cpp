@@ -255,8 +255,8 @@ TEST_P(BuildEquivalence, QuotientMatchesRowGraphReference) {
         reference_quotient(g, blocking.block_of, blocking.num_blocks);
     for (const Mode m : kModes) {
       const AdjacencyGraph got = run_in(m, [&] {
-        return block_quotient(std::span<const CsrPattern>(&pattern, 1),
-                              blocking.block_of, blocking.num_blocks);
+        return block_quotient(pattern, blocking.block_of,
+                              blocking.num_blocks);
       });
       got.validate();
       EXPECT_EQ(got.n, want.n) << mode_name(m);
@@ -264,25 +264,6 @@ TEST_P(BuildEquivalence, QuotientMatchesRowGraphReference) {
       EXPECT_EQ(got.adj, want.adj) << mode_name(m);
     }
   }
-
-  // The sweep schedule's call: the L and U triangles of the permuted
-  // matrix over contiguous block ranges.
-  AbmcOptions opts;
-  opts.num_blocks = 7;
-  const AbmcOrdering o = abmc_order(a, opts);
-  const CsrMatrix<double> permuted = permute_symmetric(a, o.perm);
-  const TriangularSplit<double> split = split_triangular(permuted);
-  std::vector<index_t> block_of(static_cast<std::size_t>(a.rows()));
-  for (index_t b = 0; b < o.num_blocks; ++b)
-    for (index_t r = o.block_ptr[b]; r < o.block_ptr[b + 1]; ++r)
-      block_of[r] = b;
-  const AdjacencyGraph want = reference_quotient(
-      adjacency_from_matrix(permuted), block_of, o.num_blocks);
-  const CsrPattern triangles[] = {pattern_of(split.lower),
-                                  pattern_of(split.upper)};
-  const AdjacencyGraph got = block_quotient(triangles, block_of, o.num_blocks);
-  EXPECT_EQ(got.ptr, want.ptr);
-  EXPECT_EQ(got.adj, want.adj);
 }
 
 TEST_P(BuildEquivalence, FusedSplitMatchesPermutedCopy) {

@@ -174,9 +174,10 @@ TEST(FbSimd, FastModeErrorBoundHolds) {
   }
 }
 
-// Fast mode is deterministic across schedules: serial, barrier and the
-// point-to-point engine issue the same per-row kernels, so their
-// results are bitwise identical to each other (though not to exact).
+// Fast mode is deterministic across schedules: serial, the barrier
+// kernel and the point-to-point level engine issue the same per-row
+// kernels, so their results are bitwise identical to each other
+// (though not to exact).
 TEST(FbSimd, FastModeBitwiseIdenticalAcrossSchedules) {
   const auto a = test::random_matrix(600, 9.0, /*symmetric=*/true, 17);
   const auto x = test::random_vector(a.rows(), 11);
@@ -194,18 +195,26 @@ TEST(FbSimd, FastModeBitwiseIdenticalAcrossSchedules) {
   barrier.parallel = true;
   auto pb = MpkPlan::build(a, barrier);
 
+  // The level engine runs the natural order, so its oracle is the
+  // natural-order serial plan.
+  PlanOptions serial_nat = serial;
+  serial_nat.reorder = false;
+  auto psn = MpkPlan::build(a, serial_nat);
   PlanOptions engine = barrier;
+  engine.scheduler = Scheduler::kLevels;
   engine.sweep.sync = SweepSync::kPointToPoint;
   auto pg = MpkPlan::build(a, engine);
 
-  AlignedVector<double> ys(x.size()), yb(x.size()), yg(x.size());
+  AlignedVector<double> ys(x.size()), yb(x.size()), ysn(x.size()),
+      yg(x.size());
   for (const int k : {1, 3, 4, 8}) {
     ps.power(x, k, ys);
     pb.power(x, k, yb);
+    psn.power(x, k, ysn);
     pg.power(x, k, yg);
     for (std::size_t i = 0; i < ys.size(); ++i) {
       ASSERT_EQ(ys[i], yb[i]) << "barrier k=" << k << " i=" << i;
-      ASSERT_EQ(ys[i], yg[i]) << "engine k=" << k << " i=" << i;
+      ASSERT_EQ(ysn[i], yg[i]) << "engine k=" << k << " i=" << i;
     }
   }
 }

@@ -3,6 +3,7 @@
 // matrix, for every power, block count and thread count.
 #include <gtest/gtest.h>
 
+#include "core/plan.hpp"
 #include "gen/stencil.hpp"
 #include "gen/suite.hpp"
 #include "kernels/fbmpk.hpp"
@@ -127,6 +128,35 @@ TEST(ParallelFbmpk, RejectsBadSchedule) {
   broken.block_ptr.back() = 49;  // does not cover the matrix
   EXPECT_THROW(
       fbmpk_parallel_power<double>(p.split, broken, x, 3, y, ws), Error);
+}
+
+TEST(ParallelFbmpk, AbmcPointToPointRequestRunsBarrierKernel) {
+  // ABMC plans have one executor, the per-color barrier kernel: a
+  // point-to-point request is stored as the barrier sync that runs, the
+  // plan has no engine rung, and the result is the serial oracle's.
+  const auto a = test::random_matrix(300, 7.0, true, 82);
+  PlanOptions opts;
+  opts.sweep.sync = SweepSync::kPointToPoint;
+  const auto plan = MpkPlan::build(a, opts);
+  EXPECT_EQ(plan.options().scheduler, Scheduler::kAbmc);
+  EXPECT_EQ(plan.options().sweep.sync, SweepSync::kBarrier);
+  EXPECT_FALSE(plan.supports(ExecPath::kEngine));
+  EXPECT_TRUE(plan.supports(ExecPath::kBarrier));
+
+  PlanOptions serial;
+  serial.parallel = false;
+  const auto oracle = MpkPlan::build(a, serial);
+  const auto x = test::random_vector(300, 83);
+  MpkPlan::Workspace ws;
+  AlignedVector<double> y(300), ref(300);
+  for (const int k : {1, 4, 7}) {
+    plan.power(x, k, y, ws);
+    oracle.power(x, k, ref, ws);
+    for (index_t i = 0; i < 300; ++i) ASSERT_EQ(y[i], ref[i]) << "k=" << k;
+  }
+  const Status st = plan.try_power(x, 3, y, ws, ExecPath::kEngine);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), ErrorCode::kUnsupported);
 }
 
 }  // namespace

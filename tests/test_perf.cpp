@@ -569,9 +569,9 @@ TEST(SweepReplay, MatchesPerfEventDramTrafficWhenPmuAvailable) {
 
   ReplayConfig cfg;
   cfg.k = k;
-  cfg.threads = plan.sweep_schedule().num_threads;
-  const ReplayPrediction pred = replay_fbmpk_traffic(
-      a, &plan.schedule(), cfg, &plan.sweep_schedule());
+  cfg.threads = max_threads();
+  const ReplayPrediction pred =
+      replay_fbmpk_traffic(a, &plan.schedule(), cfg);
   const double sim = static_cast<double>(pred.dram_total_bytes());
   EXPECT_LT(std::abs(sim - measured) / measured, 0.15)
       << "replay " << sim << " vs measured " << measured;

@@ -115,7 +115,7 @@ TEST(PlanIo, RejectsOldFormatVersionWithTypedError) {
   // (correct index width) and claims a payload the stream does not
   // hold, so reading past the header would surface as kCorruptPlan.
   for (const std::uint32_t version :
-       {0u, 1u, 4u, 5u, 6u, 7u, 8u, 10u, 0xFFFFFFFFu}) {
+       {0u, 1u, 4u, 5u, 6u, 7u, 8u, 9u, 11u, 0xFFFFFFFFu}) {
     SCOPED_TRACE(version);
     std::string header("FBMPKPLN", 8);
     const std::uint32_t width = sizeof(index_t), crc = 0;
@@ -618,7 +618,6 @@ TEST(PlanIo, LevelScheduleOnNonLevelPlanIsCorrupt) {
   PlanOptions lv;
   lv.reorder = true;  // keep every other OPTS byte identical to ABMC
   lv.scheduler = Scheduler::kLevels;
-  lv.sweep.sync = SweepSync::kPointToPoint;
   auto plan_lv = MpkPlan::build(a, lv);
   ASSERT_FALSE(plan_lv.level_sweep_schedule().empty());
   PlanOptions ab = lv;
@@ -651,6 +650,43 @@ TEST(PlanIo, LevelScheduleOnNonLevelPlanIsCorrupt) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorruptPlan);
   }
+}
+
+TEST(PlanIo, AbmcPlanClaimingPointToPointIsCorrupt) {
+  // ABMC plans run the per-color barrier kernel only, so a stream whose
+  // OPTS sync word says point-to-point on an ABMC plan is corrupt.
+  // Locate the sync word by diffing two level plans that differ in it
+  // alone; OPTS is fixed-width up to there, so the offset is the same
+  // in an ABMC plan's stream.
+  const auto a = test::random_matrix(150, 6.0, true, 61);
+  PlanOptions lv;
+  lv.scheduler = Scheduler::kLevels;
+  PlanOptions lv_p2p = lv;
+  lv_p2p.sweep.sync = SweepSync::kPointToPoint;
+  std::stringstream b_bar, b_p2p, b_abmc;
+  save_plan(MpkPlan::build(a, lv), b_bar);
+  save_plan(MpkPlan::build(a, lv_p2p), b_p2p);
+  save_plan(MpkPlan::build(a), b_abmc);
+  const std::string s_bar = b_bar.str(), s_p2p = b_p2p.str();
+  std::size_t pos = std::string::npos;
+  for (std::size_t i = kHeaderBytes; i < std::min(s_bar.size(), s_p2p.size());
+       ++i) {
+    if (s_bar[i] != s_p2p[i]) {
+      pos = i;
+      break;
+    }
+  }
+  ASSERT_NE(pos, std::string::npos);
+  ASSERT_EQ(s_p2p[pos], 1);  // SweepSync::kPointToPoint as u32 LSB
+
+  std::string s_abmc = b_abmc.str();
+  ASSERT_EQ(s_abmc[pos], 0);  // stored as the barrier sync that runs
+  s_abmc[pos] = 1;
+  fix_crc(s_abmc);
+  std::stringstream tampered(s_abmc);
+  const auto r = try_load_plan(tampered);
+  ASSERT_FALSE(r) << "ABMC plan claiming point-to-point sync was accepted";
+  EXPECT_EQ(r.code(), ErrorCode::kCorruptPlan);
 }
 
 TEST(PlanIo, SchedulerProvenanceRoundTrips) {

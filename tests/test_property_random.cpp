@@ -14,14 +14,14 @@
 //   - fp32 storage is bitwise equal to fp64 when every matrix value is
 //     a float (lossless);
 //   - for a fixed configuration, every schedule — serial, the ABMC
-//     barrier and point-to-point engine, and the level scheduler's
-//     barrier and point-to-point engine (natural order, reorder off) —
-//     is bitwise identical to the others.
+//     per-color barrier kernel, and the level scheduler's barrier and
+//     point-to-point engine (natural order, reorder off) — is bitwise
+//     identical to the others.
 //
 // The scheduler axis honors FBMPK_SCHEDULER: "abmc" restricts the
-// parallel plans to the ABMC pair, "levels" to the level pair (CI's
+// parallel plans to the ABMC plan, "levels" to the level pair (CI's
 // scheduler job runs the harness both ways), anything else or unset
-// runs all four.
+// runs all three.
 //
 // The iteration count comes from FBMPK_PROP_SEEDS (CI runs 5). The
 // seed is attached to every assertion via SCOPED_TRACE, so a failure
@@ -154,7 +154,7 @@ struct SchedPlan {
 };
 
 /// The parallel plans of one configuration under the env filter:
-/// ABMC barrier + engine, level barrier + engine (natural order).
+/// ABMC barrier, level barrier + engine (natural order).
 std::vector<SchedPlan> parallel_plans(const CsrMatrix<double>& a,
                                       const PlanOptions& serial) {
   const SchedulerFilter f = scheduler_filter();
@@ -163,9 +163,6 @@ std::vector<SchedPlan> parallel_plans(const CsrMatrix<double>& a,
   barrier.parallel = true;
   if (f.abmc) {
     plans.push_back({"abmc-barrier", MpkPlan::build(a, barrier), false});
-    PlanOptions engine = barrier;
-    engine.sweep.sync = SweepSync::kPointToPoint;
-    plans.push_back({"abmc-engine", MpkPlan::build(a, engine), false});
   }
   if (f.levels) {
     PlanOptions lbarrier = barrier;

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "gen/stencil.hpp"
+#include "perf/cost_model.hpp"
 #include "reorder/abmc.hpp"
 #include "reorder/blocking.hpp"
 #include "reorder/coloring.hpp"
 #include "reorder/graph.hpp"
+#include "reorder/nnz_partition.hpp"
 #include "reorder/permutation.hpp"
 #include "reorder/rcm.hpp"
 #include "sparse/ops.hpp"
+#include "sparse/split.hpp"
 #include "test_util.hpp"
 
 namespace fbmpk {
@@ -109,8 +112,7 @@ TEST(Graph, QuotientCollapsesBlocks) {
   // Blocks {0,1}, {2,3}, {4,5}: quotient is a path of 3 blocks.
   const std::vector<index_t> block_of{0, 0, 1, 1, 2, 2};
   const CsrPattern pattern{g.ptr, g.adj};
-  const auto q =
-      block_quotient(std::span<const CsrPattern>(&pattern, 1), block_of, 3);
+  const auto q = block_quotient(pattern, block_of, 3);
   q.validate();
   EXPECT_EQ(q.degree(0), 1);
   EXPECT_EQ(q.degree(1), 2);
@@ -282,6 +284,44 @@ TEST(Abmc, InvalidScheduleIsDetected) {
   o.color_ptr = {0, o.num_blocks};
   const auto permuted = permute_symmetric(a, o.perm);
   EXPECT_FALSE(is_valid_schedule(permuted, o));
+}
+
+TEST(NnzPartition, LptBalancesSkewedWeightsBetterThanStatic) {
+  // One color, one heavy block: static by-count puts the heavy block
+  // plus half the light ones on thread 0 (load 11); LPT isolates it
+  // (load 8 vs 7).
+  AbmcOrdering o;
+  o.num_blocks = 8;
+  o.num_colors = 1;
+  o.color_ptr = {0, 8};
+  const std::vector<index_t> w{8, 1, 1, 1, 1, 1, 1, 1};
+
+  const auto stat =
+      partition_colors(o, w, 2, PartitionStrategy::kBlockStatic);
+  const auto lpt = partition_colors(o, w, 2, PartitionStrategy::kNnzLpt);
+  const auto max_load = [](const ColorPartition& p) {
+    index_t m = 0;
+    for (index_t l : p.load) m = std::max(m, l);
+    return m;
+  };
+  EXPECT_EQ(max_load(stat), 11);
+  EXPECT_EQ(max_load(lpt), 8);
+}
+
+TEST(NnzPartition, ImbalanceMetricIsSaneOnRealMatrix) {
+  const auto a = test::random_matrix(400, 8.0, true, 71);
+  AbmcOptions opts;
+  opts.num_blocks = 32;
+  const AbmcOrdering o = abmc_order(a, opts);
+  const auto split = split_triangular(permute_symmetric(a, o.perm));
+  const auto w = block_nnz_weights(o, split.lower.row_ptr(),
+                                   split.upper.row_ptr());
+  for (const auto strat :
+       {PartitionStrategy::kBlockStatic, PartitionStrategy::kNnzLpt}) {
+    const auto imb = perf::partition_imbalance(o, w, 4, strat);
+    EXPECT_GE(imb.worst, imb.mean);
+    EXPECT_GE(imb.mean, 1.0);
+  }
 }
 
 }  // namespace

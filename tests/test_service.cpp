@@ -216,11 +216,17 @@ TEST_F(ServiceTest, ExplicitCancelFailsTypedCancelled) {
   EXPECT_GE(svc.stats().cancelled, 1u);
 }
 
+// The ladder is scheduler-polymorphic (docs/SERVICE.md): on a level-
+// scheduled point-to-point plan the rungs mean level engine ->
+// per-stage barriers -> serial stage walk, and the natural-order
+// serial sweep is the bitwise oracle.
 TEST_F(ServiceTest, DegradationLadderFallsToSerialBitwiseEqual) {
   const auto a = gen::make_laplacian_2d(24, 24);
   const auto x = test_input(a.rows());
   ServiceOptions opts;
   opts.workers = 1;
+  opts.plan.scheduler = Scheduler::kLevels;
+  opts.plan.reorder = false;
   opts.plan.sweep.sync = SweepSync::kPointToPoint;  // enable the engine rung
   MpkService svc(opts);
 
@@ -245,44 +251,40 @@ TEST_F(ServiceTest, DegradationLadderFallsToSerialBitwiseEqual) {
   ASSERT_TRUE(r2.status.ok());
   EXPECT_EQ(r2.rung, Rung::kSerial);
   EXPECT_EQ(r2.degrade_steps, 0);
-}
 
-// The ladder is scheduler-polymorphic (docs/SERVICE.md): on a level-
-// scheduled plan the rungs mean level engine -> per-level barriers ->
-// serial, with the same step-down accounting and the natural-order
-// serial sweep as the bitwise oracle.
-TEST_F(ServiceTest, DegradationLadderOnLevelPlanFallsToSerialBitwiseEqual) {
-  const auto a = gen::make_laplacian_2d(24, 24);
-  const auto x = test_input(a.rows());
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.plan.scheduler = Scheduler::kLevels;
-  opts.plan.reorder = false;
-  opts.plan.sweep.sync = SweepSync::kPointToPoint;  // blocked level engine
-  MpkService svc(opts);
-
-  fault::Injector::instance().arm(fault::Point::kAlloc, /*fires=*/2);
-  AlignedVector<double> y(static_cast<std::size_t>(a.rows()));
-  const RequestResult r = svc.power(a, x, 4, y);
-  ASSERT_TRUE(r.status.ok()) << r.status.error().what();
-  EXPECT_EQ(r.rung, Rung::kSerial);
-  EXPECT_EQ(r.degrade_steps, 2);
-  expect_bitwise_equal(y, serial_oracle(a, x, 4, opts.plan));
-
-  const ServiceStats st = svc.stats();
-  EXPECT_EQ(st.degrade_engine_to_barrier, 1u);
-  EXPECT_EQ(st.degrade_barrier_to_serial, 1u);
-
-  // No faults: a fresh (uncached) levels plan runs its engine rung and
-  // still matches the natural-order serial oracle bitwise.
-  fault::Injector::instance().reset();
+  // A fresh (uncached) plan runs its engine rung and still matches the
+  // natural-order serial oracle bitwise.
   const auto b = gen::make_laplacian_2d(23, 23);
   const auto xb = test_input(b.rows());
   AlignedVector<double> yb(static_cast<std::size_t>(b.rows()));
   const RequestResult rb = svc.power(b, xb, 5, yb);
   ASSERT_TRUE(rb.status.ok()) << rb.status.error().what();
+  EXPECT_EQ(rb.rung, Rung::kEngine);
   EXPECT_EQ(rb.degrade_steps, 0);
   expect_bitwise_equal(yb, serial_oracle(b, xb, 5, opts.plan));
+}
+
+// An ABMC plan has no engine rung: the ladder starts at the barrier, so
+// an injected failure there is blamed on the barrier rung, never on an
+// engine the plan does not have.
+TEST_F(ServiceTest, DegradationLadderStartsAtFirstSupportedRung) {
+  const auto a = gen::make_laplacian_2d(24, 24);
+  const auto x = test_input(a.rows());
+  ServiceOptions opts;
+  opts.workers = 1;
+  MpkService svc(opts);
+
+  fault::Injector::instance().arm(fault::Point::kAlloc, /*fires=*/1);
+  AlignedVector<double> y(static_cast<std::size_t>(a.rows()));
+  const RequestResult r = svc.power(a, x, 4, y);
+  ASSERT_TRUE(r.status.ok()) << r.status.error().what();
+  EXPECT_EQ(r.rung, Rung::kSerial);
+  EXPECT_EQ(r.degrade_steps, 1);
+  expect_bitwise_equal(y, serial_oracle(a, x, 4, opts.plan));
+
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.degrade_engine_to_barrier, 0u);
+  EXPECT_EQ(st.degrade_barrier_to_serial, 1u);
 }
 
 TEST_F(ServiceTest, ConcurrentMissesOnOneKeyShareOneEntry) {

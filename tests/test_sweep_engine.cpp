@@ -1,11 +1,15 @@
-// Tests for the persistent-threads sweep engine (docs/PARALLELISM.md):
-// the point-to-point engine must equal the serial FBMPK kernel bitwise
-// for every thread count, power parity and matrix family, the schedule
+// Tests for the persistent-threads sweep engine (docs/PARALLELISM.md),
+// which runs level-scheduled plans with point-to-point sync: the
+// engine must equal the serial FBMPK kernel bitwise for every thread
+// count, power parity and matrix family, its level-blocked schedule
 // must validate structurally and survive plan serialization, and every
-// unsafe configuration must fall back to the barrier kernel rather
+// unsafe configuration must fall back to the barrier stage walk rather
 // than produce a different answer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <tuple>
 
@@ -14,11 +18,9 @@
 #include "gen/kkt.hpp"
 #include "gen/stencil.hpp"
 #include "kernels/fbmpk.hpp"
-#include "kernels/fbmpk_parallel.hpp"
-#include "kernels/sweep_schedule.hpp"
-#include "perf/cost_model.hpp"
-#include "reorder/abmc.hpp"
-#include "reorder/nnz_partition.hpp"
+#include "kernels/fbmpk_level_engine.hpp"
+#include "reorder/level_blocking.hpp"
+#include "reorder/level_schedule.hpp"
 #include "sparse/split.hpp"
 #include "support/threading.hpp"
 #include "test_util.hpp"
@@ -27,18 +29,17 @@ namespace fbmpk {
 namespace {
 
 struct Prepared {
-  CsrMatrix<double> permuted;
   TriangularSplit<double> split;
-  AbmcOrdering schedule;
+  LevelSweepSchedule sched;
 };
 
-Prepared prepare(const CsrMatrix<double>& a, index_t num_blocks) {
-  AbmcOptions opts;
-  opts.num_blocks = num_blocks;
+/// The original-order split and its level-blocked schedule for
+/// `threads` persistent threads.
+Prepared prepare(const CsrMatrix<double>& a, index_t threads) {
   Prepared p;
-  p.schedule = abmc_order(a, opts);
-  p.permuted = permute_symmetric(a, p.schedule.perm);
-  p.split = split_triangular(p.permuted);
+  p.split = split_triangular(a);
+  p.sched = build_level_sweep_schedule(LevelSchedulePair::of(p.split),
+                                       p.split, threads);
   return p;
 }
 
@@ -48,9 +49,8 @@ struct ThreadGuard {
   ~ThreadGuard() { set_threads(saved); }
 };
 
-/// The matrix families named by the acceptance criteria: structured
-/// stencil, random symmetric, random unsymmetric, and a KKT saddle
-/// point (many colors, uneven block weights).
+/// Structured stencil, random symmetric, random unsymmetric, and a KKT
+/// saddle point (a zero diagonal block, uneven level widths).
 std::vector<std::pair<std::string, CsrMatrix<double>>> test_matrices() {
   std::vector<std::pair<std::string, CsrMatrix<double>>> out;
   out.emplace_back("laplacian_2d", gen::make_laplacian_2d(16, 16));
@@ -58,6 +58,25 @@ std::vector<std::pair<std::string, CsrMatrix<double>>> test_matrices() {
   out.emplace_back("random_unsym", test::random_matrix(300, 6.0, false, 22));
   out.emplace_back("kkt_saddle", gen::make_kkt_saddle(5, 5, 5, {}));
   return out;
+}
+
+PlanOptions level_p2p_options() {
+  PlanOptions o;
+  o.reorder = false;
+  o.scheduler = Scheduler::kLevels;
+  o.sweep.sync = SweepSync::kPointToPoint;
+  return o;
+}
+
+/// y = A^k x by the serial kernel on the unpermuted split: the bitwise
+/// oracle for level plans, which store their split renumbered.
+AlignedVector<double> serial_power(const CsrMatrix<double>& a,
+                                   std::span<const double> x, int k) {
+  const auto s = split_triangular(a);
+  AlignedVector<double> y(a.rows());
+  FbWorkspace<double> ws;
+  fbmpk_power<double>(s, x, k, y, ws);
+  return y;
 }
 
 class SweepEngineTest
@@ -69,16 +88,14 @@ TEST_P(SweepEngineTest, BitwiseEqualsSerialAcrossMatrixFamilies) {
   set_threads(threads);
   for (const auto& [name, a] : test_matrices()) {
     const index_t n = a.rows();
-    const auto p = prepare(a, 24);
-    const auto sched =
-        build_sweep_schedule(p.schedule, p.split, threads);
-    ASSERT_TRUE(validate_sweep_schedule(sched, p.schedule)) << name;
+    const auto p = prepare(a, threads);
+    ASSERT_TRUE(validate_level_sweep_schedule(p.sched, p.split)) << name;
     const auto x = test::random_vector(n, 23);
 
     AlignedVector<double> y_eng(n), y_ser(n);
     SweepWorkspace<double> we;
     FbWorkspace<double> ws;
-    fbmpk_engine_power<double>(p.split, p.schedule, sched, x, k, y_eng, we);
+    fbmpk_level_engine_power<double>(p.split, p.sched, x, k, y_eng, we);
     fbmpk_power<double>(p.split, x, k, y_ser, ws);
     for (index_t i = 0; i < n; ++i)
       ASSERT_EQ(y_eng[i], y_ser[i])
@@ -98,14 +115,19 @@ TEST(SweepEngine, PowerAllMatchesSerialBitwise) {
   ThreadGuard guard;
   set_threads(4);
   const auto a = test::random_matrix(200, 6.0, false, 31);
-  const auto p = prepare(a, 16);
-  const auto sched = build_sweep_schedule(p.schedule, p.split, 4);
+  const auto p = prepare(a, 4);
   const auto x = test::random_vector(200, 32);
   const int k = 5;
-  AlignedVector<double> b_eng(200 * (k + 1)), b_ser(200 * (k + 1));
+  const std::size_t n = 200;
+  AlignedVector<double> b_eng(n * (k + 1)), b_ser(n * (k + 1));
+  std::copy(x.begin(), x.end(), b_eng.begin());
   SweepWorkspace<double> we;
+  fbmpk_level_engine_sweep_rows<double, double>(
+      p.split, p.sched, ScalarRows<double>(p.split),
+      std::span<const double>(x), k, we, [&](int q, index_t i, double v) {
+        b_eng[static_cast<std::size_t>(q) * n + i] = v;
+      });
   FbWorkspace<double> ws;
-  fbmpk_engine_power_all<double>(p.split, p.schedule, sched, x, k, b_eng, we);
   fbmpk_power_all<double>(p.split, x, k, b_ser, ws);
   for (std::size_t i = 0; i < b_eng.size(); ++i)
     ASSERT_EQ(b_eng[i], b_ser[i]) << "entry " << i;
@@ -115,15 +137,18 @@ TEST(SweepEngine, PolynomialMatchesSerialBitwise) {
   ThreadGuard guard;
   set_threads(4);
   const auto a = test::random_matrix(200, 6.0, true, 33);
-  const auto p = prepare(a, 16);
-  const auto sched = build_sweep_schedule(p.schedule, p.split, 4);
+  const auto p = prepare(a, 4);
   const auto x = test::random_vector(200, 34);
   const AlignedVector<double> coeffs{2.0, -1.0, 0.5, -0.25, 0.125};
+  const int k = static_cast<int>(coeffs.size()) - 1;
   AlignedVector<double> y_eng(200), y_ser(200);
+  for (index_t i = 0; i < 200; ++i) y_eng[i] = coeffs[0] * x[i];
   SweepWorkspace<double> we;
+  fbmpk_level_engine_sweep_rows<double, double>(
+      p.split, p.sched, ScalarRows<double>(p.split),
+      std::span<const double>(x), k, we,
+      [&](int q, index_t i, double v) { y_eng[i] += coeffs[q] * v; });
   FbWorkspace<double> ws;
-  fbmpk_engine_polynomial<double>(p.split, p.schedule, sched, coeffs, x,
-                                  y_eng, we);
   fbmpk_polynomial<double>(p.split, coeffs, x, y_ser, ws);
   for (index_t i = 0; i < 200; ++i) ASSERT_EQ(y_eng[i], y_ser[i]);
 }
@@ -136,14 +161,12 @@ TEST(SweepEngine, WorkspaceReusesAcrossPowersAndMatrices) {
   SweepWorkspace<double> we;
   for (const index_t n : {100, 240, 100}) {
     const auto a = test::random_matrix(n, 6.0, true, 40 + n);
-    const auto p = prepare(a, 12);
-    const auto sched = build_sweep_schedule(p.schedule, p.split, 2);
+    const auto p = prepare(a, 2);
     const auto x = test::random_vector(n, 41);
     for (const int k : {0, 1, 4, 5}) {
       AlignedVector<double> y_eng(n), y_ser(n);
       FbWorkspace<double> ws;
-      fbmpk_engine_power<double>(p.split, p.schedule, sched, x, k, y_eng,
-                                 we);
+      fbmpk_level_engine_power<double>(p.split, p.sched, x, k, y_eng, we);
       fbmpk_power<double>(p.split, x, k, y_ser, ws);
       for (index_t i = 0; i < n; ++i)
         ASSERT_EQ(y_eng[i], y_ser[i]) << "n=" << n << " k=" << k;
@@ -153,136 +176,118 @@ TEST(SweepEngine, WorkspaceReusesAcrossPowersAndMatrices) {
 
 TEST(SweepEngine, OversubscribedScheduleFallsBackBitwiseCorrect) {
   // A schedule built for more threads than the runtime offers cannot
-  // run point-to-point; try must refuse and the wrapper must still
-  // produce the serial answer through the barrier fallback.
+  // run point-to-point: try must refuse without touching the outputs,
+  // and the wrapper must still produce the serial answer through the
+  // barrier stage walk.
   ThreadGuard guard;
   set_threads(2);
   const auto a = test::random_matrix(150, 6.0, true, 51);
-  const auto p = prepare(a, 16);
-  const auto sched =
-      build_sweep_schedule(p.schedule, p.split, max_threads() + 14);
+  const auto p = prepare(a, static_cast<index_t>(max_threads()) + 14);
   const auto x = test::random_vector(150, 52);
 
   SweepWorkspace<double> we;
-  EXPECT_FALSE(fbmpk_engine_try_sweep<double>(
-      p.split, p.schedule, sched, x, 3, we, false,
-      [](int, index_t, double) {}));
+  bool emitted = false;
+  EXPECT_FALSE((fbmpk_level_engine_try_sweep_rows<double, double>(
+      p.split, p.sched, ScalarRows<double>(p.split),
+      std::span<const double>(x), 3, we, false,
+      [&](int, index_t, double) { emitted = true; })));
+  EXPECT_FALSE(emitted);
 
   AlignedVector<double> y_eng(150), y_ser(150);
   FbWorkspace<double> ws;
-  fbmpk_engine_power<double>(p.split, p.schedule, sched, x, 3, y_eng, we);
+  fbmpk_level_engine_power<double>(p.split, p.sched, x, 3, y_eng, we);
   fbmpk_power<double>(p.split, x, 3, y_ser, ws);
   for (index_t i = 0; i < 150; ++i) ASSERT_EQ(y_eng[i], y_ser[i]);
 }
 
-TEST(SweepSchedule, ValidatesAndRejectsTampering) {
+TEST(SweepEngine, ScheduleValidatesAndRejectsTampering) {
   const auto a = test::random_matrix(250, 7.0, true, 61);
-  const auto p = prepare(a, 20);
+  const auto s = split_triangular(a);
+  const auto levels = LevelSchedulePair::of(s);
   for (const index_t t : {1, 2, 4, 7}) {
-    const auto sched = build_sweep_schedule(p.schedule, p.split, t);
-    EXPECT_TRUE(validate_sweep_schedule(sched, p.schedule)) << t;
+    const auto sched = build_level_sweep_schedule(levels, s, t);
+    EXPECT_TRUE(validate_level_sweep_schedule(sched, s)) << t;
     EXPECT_EQ(sched.num_threads, t);
-    EXPECT_EQ(sched.num_colors, p.schedule.num_colors);
-    EXPECT_EQ(sched.num_blocks, p.schedule.num_blocks);
+    EXPECT_EQ(sched.fwd.part_ptr.size(),
+              static_cast<std::size_t>(t * sched.fwd.num_stages + 1));
+    EXPECT_EQ(sched.bwd.part_ptr.size(),
+              static_cast<std::size_t>(t * sched.bwd.num_stages + 1));
   }
 
-  auto sched = build_sweep_schedule(p.schedule, p.split, 3);
+  const auto sched = build_level_sweep_schedule(levels, s, 3);
   {
-    auto broken = sched;  // a block assigned to the wrong color slot
-    ASSERT_GE(broken.part_blocks.size(), 2u);
-    std::swap(broken.part_blocks.front(), broken.part_blocks.back());
-    EXPECT_FALSE(validate_sweep_schedule(broken, p.schedule));
+    // A row with a forward dependency moved to the head of slot (0, 0):
+    // its producer now runs later, or on another thread in the same
+    // stage, or after it on the same thread.
+    auto broken = sched;
+    ASSERT_LT(broken.fwd.part_ptr[0], broken.fwd.part_ptr[1]);
+    const auto& rp = s.lower.row_ptr();
+    auto& rows = broken.fwd.part_rows;
+    const auto dep = std::find_if(rows.rbegin(), rows.rend(), [&](index_t r) {
+      return rp[r + 1] > rp[r];
+    });
+    ASSERT_NE(dep, rows.rend());
+    std::swap(rows.front(), *dep);
+    EXPECT_FALSE(validate_level_sweep_schedule(broken, s));
   }
   {
     auto broken = sched;  // dep pointing at a thread outside the team
-    if (!broken.fwd_deps.empty()) {
-      broken.fwd_deps.front().thread = broken.num_threads;
-      EXPECT_FALSE(validate_sweep_schedule(broken, p.schedule));
-    }
+    ASSERT_FALSE(broken.fwd_deps.empty());
+    broken.fwd_deps.front().thread = broken.num_threads;
+    EXPECT_FALSE(validate_level_sweep_schedule(broken, s));
   }
   {
     auto broken = sched;  // non-monotone partition pointer
-    broken.part_ptr.back() += 1;
-    EXPECT_FALSE(validate_sweep_schedule(broken, p.schedule));
-  }
-}
-
-TEST(SweepSchedule, LptBalancesSkewedWeightsBetterThanStatic) {
-  // One color, one heavy block: static by-count puts the heavy block
-  // plus half the light ones on thread 0 (load 11); LPT isolates it
-  // (load 8 vs 7).
-  AbmcOrdering o;
-  o.num_blocks = 8;
-  o.num_colors = 1;
-  o.color_ptr = {0, 8};
-  const std::vector<index_t> w{8, 1, 1, 1, 1, 1, 1, 1};
-
-  const auto stat =
-      partition_colors(o, w, 2, PartitionStrategy::kBlockStatic);
-  const auto lpt = partition_colors(o, w, 2, PartitionStrategy::kNnzLpt);
-  const auto max_load = [](const ColorPartition& p) {
-    index_t m = 0;
-    for (index_t l : p.load) m = std::max(m, l);
-    return m;
-  };
-  EXPECT_EQ(max_load(stat), 11);
-  EXPECT_EQ(max_load(lpt), 8);
-}
-
-TEST(SweepSchedule, ImbalanceMetricIsSaneOnRealMatrix) {
-  const auto a = test::random_matrix(400, 8.0, true, 71);
-  const auto p = prepare(a, 32);
-  const auto w = block_nnz_weights(p.schedule, p.split.lower.row_ptr(),
-                                   p.split.upper.row_ptr());
-  for (const auto strat :
-       {PartitionStrategy::kBlockStatic, PartitionStrategy::kNnzLpt}) {
-    const auto imb = perf::partition_imbalance(p.schedule, w, 4, strat);
-    EXPECT_GE(imb.worst, imb.mean);
-    EXPECT_GE(imb.mean, 1.0);
+    broken.fwd.part_ptr.back() += 1;
+    EXPECT_FALSE(validate_level_sweep_schedule(broken, s));
   }
 }
 
 TEST(SweepPlanIo, PointToPointPlanRoundTrips) {
   const auto a = gen::make_laplacian_3d(8, 8, 8);
-  PlanOptions opts;
-  opts.sweep.sync = SweepSync::kPointToPoint;
+  PlanOptions opts = level_p2p_options();
   opts.sweep.threads = 2;
   auto plan = MpkPlan::build(a, opts);
-  ASSERT_FALSE(plan.sweep_schedule().empty());
-  EXPECT_EQ(plan.sweep_schedule().num_threads, 2);
-  EXPECT_EQ(plan.stats().sweep_threads, 2);
+  ASSERT_FALSE(plan.level_sweep_schedule().empty());
+  EXPECT_EQ(plan.level_sweep_schedule().num_threads, 2);
 
   std::stringstream buf;
   save_plan(plan, buf);
   auto loaded = load_plan(buf);
   EXPECT_EQ(loaded.options().sweep.sync, SweepSync::kPointToPoint);
   EXPECT_EQ(loaded.options().sweep.threads, 2);
-  ASSERT_FALSE(loaded.sweep_schedule().empty());
-  EXPECT_EQ(loaded.sweep_schedule().num_threads, 2);
-  EXPECT_EQ(loaded.sweep_schedule().part_blocks,
-            plan.sweep_schedule().part_blocks);
-  EXPECT_TRUE(
-      validate_sweep_schedule(loaded.sweep_schedule(), loaded.schedule()));
+  ASSERT_FALSE(loaded.level_sweep_schedule().empty());
+  EXPECT_EQ(loaded.level_sweep_schedule().num_threads, 2);
+  EXPECT_EQ(loaded.level_sweep_schedule().fwd.part_rows,
+            plan.level_sweep_schedule().fwd.part_rows);
+  EXPECT_EQ(loaded.level_sweep_schedule().bwd.part_rows,
+            plan.level_sweep_schedule().bwd.part_rows);
+  EXPECT_TRUE(validate_level_sweep_schedule(loaded.level_sweep_schedule(),
+                                            loaded.split()));
 
   const auto x = test::random_vector(a.rows(), 81);
   AlignedVector<double> ya(a.rows()), yb(a.rows());
   plan.power(x, 6, ya);
   loaded.power(x, 6, yb);
-  for (index_t i = 0; i < a.rows(); ++i) ASSERT_EQ(ya[i], yb[i]);
+  const auto want = serial_power(a, x, 6);
+  for (index_t i = 0; i < a.rows(); ++i) {
+    ASSERT_EQ(ya[i], yb[i]);
+    ASSERT_EQ(ya[i], want[i]);
+  }
 }
 
 TEST(SweepPlanIo, PointToPointPlanMatchesBarrierPlanBitwise) {
-  // Same ABMC schedule, different synchronization: the engine performs
-  // the identical FP operations per row, so the two plans must agree
-  // bitwise, not just approximately.
+  // Same level-blocked schedule, different synchronization: the engine
+  // performs the identical FP operations per row, so the two plans
+  // must agree bitwise, not just approximately.
   ThreadGuard guard;
   set_threads(4);
   const auto a = test::random_matrix(300, 7.0, true, 82);
-  PlanOptions barrier_opts;
+  PlanOptions barrier_opts = level_p2p_options();
+  barrier_opts.sweep.sync = SweepSync::kBarrier;
   auto barrier_plan = MpkPlan::build(a, barrier_opts);
-  PlanOptions p2p_opts;
-  p2p_opts.sweep.sync = SweepSync::kPointToPoint;
-  auto p2p_plan = MpkPlan::build(a, p2p_opts);
+  auto p2p_plan = MpkPlan::build(a, level_p2p_options());
+  ASSERT_EQ(p2p_plan.options().sweep.sync, SweepSync::kPointToPoint);
 
   const auto x = test::random_vector(300, 83);
   for (const int k : {1, 4, 7}) {
@@ -295,18 +300,25 @@ TEST(SweepPlanIo, PointToPointPlanMatchesBarrierPlanBitwise) {
 
 TEST(SweepPlanIo, CorruptedSweepBytesAreTypedError) {
   const auto a = gen::make_laplacian_2d(12, 12);
-  PlanOptions opts;
-  opts.sweep.sync = SweepSync::kPointToPoint;
+  PlanOptions opts = level_p2p_options();
   opts.sweep.threads = 2;
   auto plan = MpkPlan::build(a, opts);
   std::stringstream buf;
   save_plan(plan, buf);
   const std::string full = buf.str();
 
-  // Flip bytes at several payload offsets (the SWEP section sits
-  // between SCHD and LVLS; the CRC turns any flip into a typed error).
+  // Flip bytes at the head, middle and tail of the LVLS payload (its
+  // frame is the tag 'LVLS' as a little-endian u32, then a u64 length);
+  // the CRC turns any flip into a typed error.
+  const std::size_t lvls = full.rfind(std::string{'S', 'L', 'V', 'L'});
+  ASSERT_NE(lvls, std::string::npos);
+  std::uint64_t len = 0;
+  std::memcpy(&len, full.data() + lvls + 4, sizeof(len));
+  const std::size_t payload = lvls + 12;
+  ASSERT_GT(len, 2u);
+  ASSERT_LE(payload + len, full.size());
   for (const std::size_t pos :
-       {full.size() / 3, full.size() / 2, full.size() - 9}) {
+       {payload, payload + len / 2, payload + len - 1}) {
     std::string corrupt = full;
     corrupt[pos] = static_cast<char>(
         static_cast<unsigned char>(corrupt[pos]) ^ 0xff);
@@ -322,19 +334,18 @@ TEST(SweepPlanIo, RebuildsScheduleWhenRuntimeThreadsDiffer) {
   ThreadGuard guard;
   set_threads(4);
   const auto a = gen::make_laplacian_2d(14, 14);
-  PlanOptions opts;
-  opts.sweep.sync = SweepSync::kPointToPoint;  // threads = 0: runtime default
-  auto plan = MpkPlan::build(a, opts);
-  ASSERT_EQ(plan.sweep_schedule().num_threads, 4);
+  // threads = 0: the schedule follows the runtime default.
+  auto plan = MpkPlan::build(a, level_p2p_options());
+  ASSERT_EQ(plan.level_sweep_schedule().num_threads, 4);
   std::stringstream buf;
   save_plan(plan, buf);
 
   set_threads(2);  // loading host differs from the build host
   auto loaded = load_plan(buf);
-  ASSERT_FALSE(loaded.sweep_schedule().empty());
-  EXPECT_EQ(loaded.sweep_schedule().num_threads, 2);
-  EXPECT_TRUE(
-      validate_sweep_schedule(loaded.sweep_schedule(), loaded.schedule()));
+  ASSERT_FALSE(loaded.level_sweep_schedule().empty());
+  EXPECT_EQ(loaded.level_sweep_schedule().num_threads, 2);
+  EXPECT_TRUE(validate_level_sweep_schedule(loaded.level_sweep_schedule(),
+                                            loaded.split()));
 
   const auto x = test::random_vector(a.rows(), 91);
   AlignedVector<double> ya(a.rows()), yb(a.rows());

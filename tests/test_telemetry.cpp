@@ -198,13 +198,21 @@ TEST(TelemetryRegistry, HistogramQuantileInterpolatesAndClamps) {
 // Hot-path instrumentation (build-flavor dependent)
 // --------------------------------------------------------------------------
 
+/// A level-scheduled point-to-point plan: the persistent-threads
+/// engine whose stage and wait spans the hot-path tests observe.
+PlanOptions level_engine_options() {
+  PlanOptions opts;
+  opts.scheduler = Scheduler::kLevels;
+  opts.reorder = false;
+  opts.sweep.sync = SweepSync::kPointToPoint;
+  return opts;
+}
+
 TEST(TelemetryHotPath, PlanAndSweepSpansMatchBuildFlavor) {
   ScopedTelemetry scope;
   const auto a = test_matrix();
 
-  PlanOptions opts;
-  opts.sweep.sync = SweepSync::kPointToPoint;
-  MpkPlan plan = MpkPlan::build(a, opts);
+  MpkPlan plan = MpkPlan::build(a, level_engine_options());
   AlignedVector<double> x(static_cast<std::size_t>(a.rows()), 1.0);
   AlignedVector<double> y(x.size());
   plan.power(x, 5, y);
@@ -251,9 +259,7 @@ TEST(TelemetryHotPath, RuntimeOffSweepAllocatesNothing) {
   reg().reset();
   reg().set_enabled(false);
   const auto a = test_matrix();
-  PlanOptions opts;
-  opts.sweep.sync = SweepSync::kPointToPoint;
-  MpkPlan plan = MpkPlan::build(a, opts);
+  MpkPlan plan = MpkPlan::build(a, level_engine_options());
   AlignedVector<double> x(static_cast<std::size_t>(a.rows()), 1.0);
   AlignedVector<double> y(x.size());
   plan.power(x, 4, y);  // warm every lazily-created buffer

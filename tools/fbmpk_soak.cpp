@@ -126,7 +126,10 @@ int main(int argc, char** argv) {
   sopts.rebuild_fp64_on_cert_failure = true;
   sopts.max_batch = max_batch;
   sopts.batch_window_us = batch_window_us;
-  sopts.plan.sweep.sync = SweepSync::kPointToPoint;  // engine rung live
+  // Level plans with point-to-point sync: the engine rung live.
+  sopts.plan.scheduler = Scheduler::kLevels;
+  sopts.plan.reorder = false;
+  sopts.plan.sweep.sync = SweepSync::kPointToPoint;
 
   constexpr int kMaxK = 5;
   // Serial oracles per (matrix, k): every rung of the ladder must
