@@ -18,14 +18,18 @@
 // <src> is either "suite:<name>[:scale]" or "file:<path.mtx>".
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -77,6 +81,38 @@ std::string get(const Args& args, const std::string& key,
   return it == args.end() ? fallback : it->second;
 }
 
+/// Bad command-line input: main() prints it with the usage text and
+/// exits 2, like a missing command.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// `text`, the value of --`key`, parsed whole as a T no smaller than
+/// `min`. Junk, trailing characters, overflow or a value below `min`
+/// is a UsageError.
+template <class T>
+T parse_number(const std::string& key, const std::string& text,
+               T min = std::numeric_limits<T>::lowest()) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (text.empty() || ec != std::errc() || ptr != last)
+    throw UsageError("--" + key + " expects a number, got '" + text + "'");
+  if (v < min) {
+    std::ostringstream os;
+    os << "--" << key << " must be at least " << min << ", got " << text;
+    throw UsageError(os.str());
+  }
+  return v;
+}
+
+/// Numeric flag --`key`, or `fallback` when absent.
+template <class T>
+T number(const Args& args, const std::string& key, const char* fallback,
+         T min = std::numeric_limits<T>::lowest()) {
+  return parse_number<T>(key, get(args, key, fallback), min);
+}
+
 // --telemetry=<file>[,hw] session: enables the registry before the
 // command runs, optionally brackets it with hardware counters, and
 // exports the trace afterwards. Export failures are reported as a
@@ -101,14 +137,14 @@ struct TelemetrySession {
     if (fit != args.end()) {
       telemetry::FlightDumpOptions fopts;
       fopts.dir = fit->second;
-      fopts.max_dumps = std::stoul(get(args, "flight-max", "8"));
+      fopts.max_dumps = number<std::size_t>(args, "flight-max", "8");
       telemetry::arm_flight_dumps(fopts);
       telemetry::Registry::instance().set_enabled(true);
       if (args.find("telemetry") == args.end())
         telemetry::Registry::instance().set_trace_mode(
             telemetry::TraceMode::kFlightOnly);
     }
-    flight_deviation = std::stod(get(args, "flight-deviation", "0"));
+    flight_deviation = number<double>(args, "flight-deviation", "0");
 
     const auto it = args.find("telemetry");
     if (it == args.end()) return;
@@ -198,7 +234,9 @@ CsrMatrix<double> load_matrix(const std::string& src) {
     const std::string name =
         colon == std::string::npos ? rest : rest.substr(0, colon);
     const double scale =
-        colon == std::string::npos ? 0.3 : std::stod(rest.substr(colon + 1));
+        colon == std::string::npos
+            ? 0.3
+            : parse_number<double>("matrix", rest.substr(colon + 1));
     return gen::make_suite_matrix(name, scale).matrix;
   }
   if (src.rfind("file:", 0) == 0)
@@ -235,10 +273,17 @@ void emit_result(const Args& args, const AlignedVector<double>& y) {
 }
 
 int cmd_plan(const Args& args) {
+  // Numeric flags first: a typo fails before the matrix is generated.
+  PlanOptions opts;
+  opts.sweep.threads = number<index_t>(args, "sweep-threads", "0", 0);
+  opts.prefetch_dist = number<int>(args, "prefetch-dist", "16");
+  opts.abmc.num_blocks = number<index_t>(args, "blocks", "512");
+  const bool autotune = args.count("autotune-k") != 0;
+  const int autotune_k =
+      autotune ? parse_number<int>("autotune-k", args.at("autotune-k"), 1) : 0;
   const auto a = load_matrix(need(args, "matrix"));
   std::printf("matrix: %d rows, %d nnz\n", a.rows(), a.nnz());
 
-  PlanOptions opts;
   // Scheduler choice (docs/PARALLELISM.md §9). Level plans renumber by
   // thread ownership instead of the ABMC reorder, so levels implies
   // reorder off.
@@ -250,34 +295,25 @@ int cmd_plan(const Args& args) {
   } else {
     FBMPK_CHECK_MSG(sweep == "barrier", "--sweep must be barrier or p2p");
   }
-  opts.sweep.threads =
-      static_cast<index_t>(std::stoi(get(args, "sweep-threads", "0")));
   // Row-kernel configuration. "scalar" keeps the exact mode; anything
   // else opts into fast mode (docs/KERNELS.md).
   opts.kernel_backend = parse_backend(get(args, "backend", "scalar"));
   opts.index_compress = get(args, "index-compress", "0") != "0";
-  opts.prefetch_dist = std::stoi(get(args, "prefetch-dist", "16"));
   // Value storage precision. fp64 is the exact default; fp32 narrows
   // the stored value stream while accumulating in fp64
   // (docs/KERNELS.md has the error bound).
   opts.value_precision = parse_precision(get(args, "precision", "fp64"));
-  MpkPlan plan = [&] {
-    if (args.count("autotune-k") != 0) {
-      const int k = std::stoi(args.at("autotune-k"));
-      std::printf("autotuning block count for k=%d...\n", k);
-      const auto tuned = autotune_block_count(a, k);
-      for (const auto& s : tuned.samples)
-        std::printf("  blocks=%-5d colors=%-3d %.3f ms\n",
-                    static_cast<int>(s.num_blocks),
-                    static_cast<int>(s.num_colors), s.seconds * 1e3);
-      opts.abmc.num_blocks = tuned.best_blocks;
-      std::printf("picked %d blocks\n", static_cast<int>(tuned.best_blocks));
-      return MpkPlan::build(a, opts);
-    }
-    opts.abmc.num_blocks =
-        static_cast<index_t>(std::stoi(get(args, "blocks", "512")));
-    return MpkPlan::build(a, opts);
-  }();
+  if (autotune) {
+    std::printf("autotuning block count for k=%d...\n", autotune_k);
+    const auto tuned = autotune_block_count(a, autotune_k);
+    for (const auto& s : tuned.samples)
+      std::printf("  blocks=%-5d colors=%-3d %.3f ms\n",
+                  static_cast<int>(s.num_blocks),
+                  static_cast<int>(s.num_colors), s.seconds * 1e3);
+    opts.abmc.num_blocks = tuned.best_blocks;
+    std::printf("picked %d blocks\n", static_cast<int>(tuned.best_blocks));
+  }
+  const MpkPlan plan = MpkPlan::build(a, opts);
 
   const std::string out = need(args, "out");
   save_plan_file(plan, out);
@@ -362,6 +398,8 @@ int cmd_info(const Args& args) {
 }
 
 int cmd_power(const Args& args) {
+  const int k = parse_number<int>("k", need(args, "k"), 0);
+  const int nvec = number<int>(args, "nvec", "1", 1);
   auto plan = load_plan_file(need(args, "plan"));
   // Scheduler pin: scripted runs can assert which scheduler the loaded
   // plan persists instead of silently running the other one.
@@ -374,9 +412,6 @@ int cmd_power(const Args& args) {
                                     << scheduler_name(plan.options().scheduler)
                                     << "'");
   }
-  const int k = std::stoi(need(args, "k"));
-  const int nvec = std::stoi(get(args, "nvec", "1"));
-  FBMPK_CHECK_MSG(nvec >= 1, "--nvec must be >= 1");
   const auto x = load_or_make_x(args, plan.rows());
   if (nvec == 1) {
     AlignedVector<double> y(x.size());
@@ -425,7 +460,7 @@ int cmd_poly(const Args& args) {
   std::stringstream ss(need(args, "coeffs"));
   std::string item;
   while (std::getline(ss, item, ','))
-    if (!item.empty()) coeffs.push_back(std::stod(item));
+    if (!item.empty()) coeffs.push_back(parse_number<double>("coeffs", item));
   FBMPK_CHECK_MSG(!coeffs.empty(), "need at least one coefficient");
 
   const auto x = load_or_make_x(args, plan.rows());
@@ -479,14 +514,14 @@ void print_candidate_tail(double predicted_bytes, int oracle_rank,
 // measured time (or "pruned" / the typed error) with its rank, so
 // model-vs-measurement agreement is visible at a glance.
 int cmd_autotune(const Args& args) {
-  const auto a = load_matrix(need(args, "matrix"));
-  std::printf("matrix: %d rows, %d nnz\n", a.rows(), a.nnz());
-  const int k = std::stoi(get(args, "k", "4"));
-  const int reps = std::stoi(get(args, "reps", "3"));
+  const int k = number<int>(args, "k", "4", 1);
+  const int reps = number<int>(args, "reps", "3", 1);
   const bool explain = get(args, "explain", "0") != "0";
   OracleOptions oracle;
   oracle.enabled = get(args, "oracle", "on") != "off";
-  oracle.top_k = std::stoi(get(args, "top-k", "2"));
+  oracle.top_k = number<int>(args, "top-k", "2");
+  const auto a = load_matrix(need(args, "matrix"));
+  std::printf("matrix: %d rows, %d nnz\n", a.rows(), a.nnz());
 
   // Scheduler for the tuned plan: abmc / levels pin it, auto runs the
   // measured race first (docs/AUTOTUNING.md §the-scheduler-race).
@@ -591,10 +626,9 @@ int cmd_autotune(const Args& args) {
 // With --telemetry the service.* counters land in the exported
 // fbmpkMetrics block.
 int cmd_serve(const Args& args) {
-  const auto a = load_matrix(need(args, "matrix"));
-  const int requests = std::stoi(get(args, "requests", "32"));
-  const int clients = std::stoi(get(args, "clients", "2"));
-  const int k = std::stoi(get(args, "k", "4"));
+  const int requests = number<int>(args, "requests", "32", 0);
+  const int clients = number<int>(args, "clients", "2", 0);
+  const int k = number<int>(args, "k", "4", 0);
 
   service::ServiceOptions sopts;
   // Scheduler for cache-miss plan builds. Levels implies reorder off
@@ -605,30 +639,31 @@ int cmd_serve(const Args& args) {
     sopts.plan.reorder = false;
     sopts.plan.sweep.sync = SweepSync::kPointToPoint;
   }
-  sopts.workers = std::stoi(get(args, "workers", "2"));
-  sopts.cache_capacity =
-      static_cast<std::size_t>(std::stoul(get(args, "cache", "4")));
-  sopts.max_queue =
-      static_cast<std::size_t>(std::stoul(get(args, "queue", "16")));
-  sopts.default_deadline_seconds = std::stod(get(args, "deadline", "0"));
+  sopts.workers = number<int>(args, "workers", "2");
+  sopts.cache_capacity = number<std::size_t>(args, "cache", "4");
+  sopts.max_queue = number<std::size_t>(args, "queue", "16");
+  sopts.default_deadline_seconds = number<double>(args, "deadline", "0");
   // Request coalescing: workers gather same-(matrix, k) requests under
   // the window into one multi-vector sweep (docs/SERVICE.md).
-  sopts.max_batch =
-      static_cast<std::size_t>(std::stoul(get(args, "max-batch", "1")));
-  sopts.batch_window_us = std::stod(get(args, "batch-window-us", "0"));
-  service::MpkService svc(sopts);
+  sopts.max_batch = number<std::size_t>(args, "max-batch", "1");
+  sopts.batch_window_us = number<double>(args, "batch-window-us", "0");
 
   // Live exposition (docs/OBSERVABILITY.md): an embedded Prometheus
   // endpoint (--metrics-port, 0 = ephemeral), an atomic textfile for
   // node_exporter (--metrics-textfile), and a human one-line heartbeat
   // (--heartbeat=<seconds>). All are observers: any failure warns on
   // stderr and serving continues.
-  const int metrics_port = std::stoi(get(args, "metrics-port", "-1"));
+  const int metrics_port = number<int>(args, "metrics-port", "-1");
   const std::string metrics_textfile = get(args, "metrics-textfile", "");
   const double metrics_interval =
-      std::max(0.05, std::stod(get(args, "metrics-interval", "1")));
-  const double heartbeat_s = std::stod(get(args, "heartbeat", "0"));
-  const double linger_s = std::stod(get(args, "linger", "0"));
+      std::max(0.05, number<double>(args, "metrics-interval", "1"));
+  const double heartbeat_s = number<double>(args, "heartbeat", "0");
+  const double linger_s = number<double>(args, "linger", "0");
+
+  // Registered once: every request below reuses the handle's hash.
+  const service::MatrixHandle a(std::make_shared<const CsrMatrix<double>>(
+      load_matrix(need(args, "matrix"))));
+  service::MpkService svc(sopts);
 
   const auto render = [&svc] {
     auto fams = service::service_families(svc.stats(), svc.window(60.0));
@@ -680,7 +715,7 @@ int cmd_serve(const Args& args) {
     });
   }
 
-  const auto x = load_or_make_x(args, a.rows());
+  const auto x = load_or_make_x(args, a.matrix().rows());
   std::atomic<int> ok{0};
   std::atomic<int> typed{0};
   Timer t;
@@ -688,7 +723,7 @@ int cmd_serve(const Args& args) {
   pool.reserve(static_cast<std::size_t>(clients));
   for (int c = 0; c < clients; ++c) {
     pool.emplace_back([&] {
-      AlignedVector<double> y(static_cast<std::size_t>(a.rows()));
+      AlignedVector<double> y(static_cast<std::size_t>(a.matrix().rows()));
       for (int i = 0; i < requests; ++i) {
         const auto r = svc.power(a, x, k, y);
         if (r.status.ok())
@@ -746,42 +781,46 @@ int cmd_serve(const Args& args) {
   return st.submitted == st.completed ? 0 : 1;
 }
 
+void print_usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s plan|info|power|poly|autotune|serve"
+               " --flag=value ...\n"
+               "  plan  --matrix=suite:pwtk|file:a.mtx --out=plan.bin"
+               " [--blocks=512] [--autotune-k=5]\n"
+               "        [--scheduler=abmc|levels|auto]"
+               " [--sweep=barrier|p2p] [--sweep-threads=0]"
+               " (p2p: level plans)\n"
+               "        [--backend=auto|scalar|avx2]"
+               " [--index-compress] [--prefetch-dist=16]\n"
+               "        [--precision=fp64|fp32]\n"
+               "  info  --plan=plan.bin\n"
+               "  power --plan=plan.bin --k=5 [--nvec=1] [--x=x.txt]"
+               " [--out=y.txt] [--scheduler=abmc|levels]\n"
+               "  poly  --plan=plan.bin --coeffs=1,0.5 [--x=] [--out=]\n"
+               "  autotune --matrix=suite:...|file:... [--k=4] [--reps=3]"
+               " [--explain]\n"
+               "        [--scheduler=abmc|levels|auto] [--oracle=on|off]"
+               " [--top-k=2] [--kernel]\n"
+               "        [--allow-fast]\n"
+               "  serve --matrix=suite:...|file:... [--requests=32]"
+               " [--clients=2] [--workers=2]\n"
+               "        [--k=4] [--deadline=0] [--cache=4] [--queue=16]\n"
+               "        [--scheduler=abmc|levels|auto]"
+               " [--max-batch=1] [--batch-window-us=0]\n"
+               "        [--metrics-port=9464] [--metrics-textfile=m.prom]"
+               " [--metrics-interval=1]\n"
+               "        [--heartbeat=0] [--linger=0]\n"
+               "  any command also takes --telemetry=<file>[,hw] and\n"
+               "        --flight-dir=<dir> [--flight-max=8]"
+               " [--flight-deviation=0]\n",
+               argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s plan|info|power|poly|autotune|serve"
-                 " --flag=value ...\n"
-                 "  plan  --matrix=suite:pwtk|file:a.mtx --out=plan.bin"
-                 " [--blocks=512] [--autotune-k=5]\n"
-                 "        [--scheduler=abmc|levels|auto]"
-                 " [--sweep=barrier|p2p] [--sweep-threads=0]"
-                 " (p2p: level plans)\n"
-                 "        [--backend=auto|scalar|avx2]"
-                 " [--index-compress] [--prefetch-dist=16]\n"
-                 "        [--precision=fp64|fp32]\n"
-                 "  info  --plan=plan.bin\n"
-                 "  power --plan=plan.bin --k=5 [--nvec=1] [--x=x.txt]"
-                 " [--out=y.txt] [--scheduler=abmc|levels]\n"
-                 "  poly  --plan=plan.bin --coeffs=1,0.5 [--x=] [--out=]\n"
-                 "  autotune --matrix=suite:...|file:... [--k=4] [--reps=3]"
-                 " [--explain]\n"
-                 "        [--scheduler=abmc|levels|auto] [--oracle=on|off]"
-                 " [--top-k=2] [--kernel]\n"
-                 "        [--allow-fast]\n"
-                 "  serve --matrix=suite:...|file:... [--requests=32]"
-                 " [--clients=2] [--workers=2]\n"
-                 "        [--k=4] [--deadline=0] [--cache=4] [--queue=16]\n"
-                 "        [--scheduler=abmc|levels|auto]"
-                 " [--max-batch=1] [--batch-window-us=0]\n"
-                 "        [--metrics-port=9464] [--metrics-textfile=m.prom]"
-                 " [--metrics-interval=1]\n"
-                 "        [--heartbeat=0] [--linger=0]\n"
-                 "  any command also takes --telemetry=<file>[,hw] and\n"
-                 "        --flight-dir=<dir> [--flight-max=8]"
-                 " [--flight-deviation=0]\n",
-                 argv[0]);
+    print_usage(argv[0]);
     return 2;
   }
   const std::string cmd = argv[1];
@@ -807,6 +846,10 @@ int main(int argc, char** argv) {
     }
     const int trc = g_telemetry.finish();
     return rc != 0 ? rc : trc;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage(argv[0]);
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,25 +1,81 @@
 #include "service/plan_cache.hpp"
 
+#include <cstring>
+#include <span>
 #include <utility>
 
-#include "support/checksum.hpp"
 #include "support/timer.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fbmpk::service {
 
+namespace {
+
+constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+
+/// One lane step: multiply-xorshift. Both halves are bijections of
+/// `acc` for a fixed word, so a change confined to one word always
+/// leaves a different lane state.
+inline std::uint64_t lane_step(std::uint64_t acc, std::uint64_t w) {
+  acc = (acc ^ w) * kMul;
+  return acc ^ (acc >> 29);
+}
+
+/// Murmur3's 64-bit finalizer: a bijection with full avalanche.
+inline std::uint64_t fmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  return h ^ (h >> 33);
+}
+
+inline std::uint64_t load_word(const unsigned char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+/// Folds `size` bytes into `seed`: four independent lanes over 32-byte
+/// blocks keep four multiply chains in flight, the leftover words go to
+/// lanes 0-2, a zero-padded partial word to the next lane, and the byte
+/// count is mixed in so trailing zero bytes still count.
+std::uint64_t hash_bytes(std::uint64_t seed, const void* data,
+                         std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t lane[4] = {seed, seed ^ 0x243F6A8885A308D3ull,
+                           seed ^ 0x13198A2E03707344ull,
+                           seed ^ 0xA4093822299F31D0ull};
+  std::size_t n = size;
+  for (; n >= 32; p += 32, n -= 32)
+    for (int j = 0; j < 4; ++j)
+      lane[j] = lane_step(lane[j], load_word(p + 8 * j));
+  int j = 0;
+  for (; n >= 8; p += 8, n -= 8, ++j)
+    lane[j] = lane_step(lane[j], load_word(p));
+  if (n > 0) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, n);
+    lane[j] = lane_step(lane[j], w);
+  }
+  std::uint64_t h = fmix64(size ^ kMul);
+  for (const std::uint64_t v : lane) h = fmix64(h ^ v);
+  return h;
+}
+
+template <class T>
+std::uint64_t hash_span(std::uint64_t seed, std::span<const T> s) {
+  return hash_bytes(seed, s.data(), s.size_bytes());
+}
+
+}  // namespace
+
 std::uint64_t fingerprint(const CsrMatrix<double>& a) {
-  std::uint32_t s = kCrc32Init;
   const std::int64_t dims[2] = {a.rows(), a.cols()};
-  s = crc32_update(s, dims, sizeof(dims));
-  s = crc32_update(s, a.row_ptr().data(),
-                   a.row_ptr().size() * sizeof(index_t));
-  s = crc32_update(s, a.col_idx().data(),
-                   a.col_idx().size() * sizeof(index_t));
-  const std::uint32_t structure = crc32_finish(s);
-  const std::uint32_t values =
-      crc32(a.values().data(), a.values().size() * sizeof(double));
-  return (static_cast<std::uint64_t>(structure) << 32) | values;
+  std::uint64_t h = hash_bytes(0, dims, sizeof(dims));
+  h = hash_span(h, a.row_ptr());
+  h = hash_span(h, a.col_idx());
+  return hash_span(h, a.values());
 }
 
 PlanCache::PlanCache(std::size_t capacity)

@@ -1,10 +1,10 @@
 // LRU plan cache for the serving layer (docs/SERVICE.md).
 //
 // Entries are keyed by a 64-bit fingerprint of the input matrix
-// (dims + row_ptr + col_idx + values, two independent CRC32 streams)
-// and hold the built MpkPlan itself; a miss is a build and nothing
-// else. Plans that should outlive the process go to disk through
-// core/plan_io.hpp (fbmpk_cli plan), not through this cache.
+// (dims + row_ptr + col_idx + values, a word-at-a-time hash) and hold
+// the built MpkPlan itself; a miss is a build and nothing else. Plans
+// that should outlive the process go to disk through core/plan_io.hpp
+// (fbmpk_cli plan), not through this cache.
 //
 // Thread-safety: every public method is safe to call concurrently.
 // Builds run outside the cache lock, so two threads missing on the
@@ -30,8 +30,11 @@
 
 namespace fbmpk::service {
 
-/// 64-bit content fingerprint of a CSR matrix: structure CRC (dims,
-/// row_ptr, col_idx) in the high word, value-bytes CRC in the low.
+/// 64-bit content fingerprint of a CSR matrix: dims, row_ptr, col_idx
+/// and value bytes, each array folded as 8-byte words by a four-lane
+/// multiply-xorshift hash and chained into the next array's seed. An
+/// in-process cache key only: never persisted, so free to change
+/// between versions (plan files carry CRC32, support/checksum.hpp).
 std::uint64_t fingerprint(const CsrMatrix<double>& a);
 
 /// Monotonic cache statistics (independent of telemetry enablement).

@@ -67,9 +67,10 @@ const char* rung_name(Rung r) {
 /// caller copies y out at wait, so no caller memory is ever touched
 /// after a force-completion.
 struct MpkService::Request {
+  explicit Request(MatrixHandle a) : matrix(std::move(a)) {}
+
   RequestId id = 0;
-  const CsrMatrix<double>* matrix = nullptr;
-  std::uint64_t key = 0;
+  const MatrixHandle matrix;
   AlignedVector<double> x;
   AlignedVector<double> y;
   int k = 1;
@@ -93,7 +94,8 @@ struct MpkService::Request {
   bool done = false;
   RequestResult result;
 
-  BatchKey batch_key() const { return BatchKey{key, k}; }
+  std::uint64_t key() const { return matrix.fingerprint(); }
+  BatchKey batch_key() const { return BatchKey{key(), k}; }
 };
 
 /// One in-flight batched sweep. The sweep runs under the batch's own
@@ -140,21 +142,52 @@ MpkService::~MpkService() {
   watchdog_.join();
 }
 
-MpkService::RequestId MpkService::submit(const CsrMatrix<double>& a,
+MatrixHandle::MatrixHandle(std::shared_ptr<const CsrMatrix<double>> a)
+    : matrix_(std::move(a)) {
+  FBMPK_CHECK_CODE(matrix_ != nullptr, ErrorCode::kInvalidMatrix,
+                   "MatrixHandle needs a matrix");
+  fingerprint_ = service::fingerprint(*matrix_);
+}
+
+MatrixHandle::MatrixHandle(const CsrMatrix<double>& a, std::uint64_t key)
+    : matrix_(std::shared_ptr<const CsrMatrix<double>>(), &a),
+      fingerprint_(key) {}
+
+MpkService::RequestId MpkService::submit(const MatrixHandle& a,
                                          std::span<const double> x, int k,
                                          RequestOptions ropts) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  auto req = std::make_shared<Request>();
   // Mint the id up front (atomic, no lock) so the request's trace
   // context exists from the very first span.
   const RequestId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  req->id = id;
   FBMPK_TSPAN_ARGS(kService, "service.submit",
                    {.k = k, .req = static_cast<std::int64_t>(id)});
-  req->matrix = &a;
-  req->key = fingerprint(a);
+  return admit(id, a, x, k, ropts);
+}
+
+MpkService::RequestId MpkService::submit(const CsrMatrix<double>& a,
+                                         std::span<const double> x, int k,
+                                         RequestOptions ropts) {
+  const RequestId id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  FBMPK_TSPAN_ARGS(kService, "service.submit",
+                   {.k = k, .req = static_cast<std::int64_t>(id)});
+  std::uint64_t key = 0;
+  {
+    FBMPK_TSPAN_ARGS(kService, "service.fingerprint",
+                     {.req = static_cast<std::int64_t>(id)});
+    key = fingerprint(a);
+  }
+  return admit(id, MatrixHandle(a, key), x, k, ropts);
+}
+
+MpkService::RequestId MpkService::admit(RequestId id, MatrixHandle a,
+                                        std::span<const double> x, int k,
+                                        RequestOptions ropts) {
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  const index_t rows = a.matrix().rows();
+  auto req = std::make_shared<Request>(std::move(a));
+  req->id = id;
   req->x.assign(x.begin(), x.end());
-  req->y.resize(static_cast<std::size_t>(a.rows()), 0.0);
+  req->y.resize(static_cast<std::size_t>(rows), 0.0);
   req->k = k;
   req->deadline_seconds = ropts.deadline_seconds < 0.0
                               ? opts_.default_deadline_seconds
@@ -165,7 +198,7 @@ MpkService::RequestId MpkService::submit(const CsrMatrix<double>& a,
         req->submitted_at + seconds_to_duration(req->deadline_seconds);
 
   Status early;  // non-ok -> reject without queueing
-  if (x.size() != static_cast<std::size_t>(a.rows()))
+  if (x.size() != static_cast<std::size_t>(rows))
     early = Error(ErrorCode::kInvalidMatrix,
                   "request vector length does not match the matrix");
 
@@ -241,6 +274,12 @@ bool MpkService::cancel(RequestId id) {
   if (req->done_flag.load(std::memory_order_acquire)) return false;
   req->ctl.request_cancel(ErrorCode::kCancelled);
   return true;
+}
+
+RequestResult MpkService::power(const MatrixHandle& a,
+                                std::span<const double> x, int k,
+                                std::span<double> y, RequestOptions ropts) {
+  return wait(submit(a, x, k, ropts), y);
 }
 
 RequestResult MpkService::power(const CsrMatrix<double>& a,
@@ -364,9 +403,9 @@ void MpkService::execute(const std::shared_ptr<Request>& req) {
   bool built = false;
   std::shared_ptr<PlanCache::Entry> entry;
   try {
-    entry = cache_.acquire(req->key, [&] {
+    entry = cache_.acquire(req->key(), [&] {
       built = true;
-      return MpkPlan::build(*req->matrix, opts_.plan);
+      return MpkPlan::build(req->matrix.matrix(), opts_.plan);
     });
   } catch (const Error& e) {
     complete(req, Status(e), Rung::kSerial, 0, false, false);
@@ -421,8 +460,8 @@ void MpkService::certify_result(const std::shared_ptr<Request>& req,
   try {
     PlanOptions fp64_opts = opts_.plan;
     fp64_opts.value_precision = ValuePrecision::kFp64;
-    auto rebuilt = cache_.acquire(req->key ^ kFp64RebuildSalt, [&] {
-      return MpkPlan::build(*req->matrix, fp64_opts);
+    auto rebuilt = cache_.acquire(req->key() ^ kFp64RebuildSalt, [&] {
+      return MpkPlan::build(req->matrix.matrix(), fp64_opts);
     });
     st = run_rung(req, *rebuilt->plan, rung, ws);
     if (st.ok() && !all_finite(req->y))
@@ -476,9 +515,9 @@ void MpkService::execute_batch(
   bool built = false;
   std::shared_ptr<PlanCache::Entry> entry;
   try {
-    entry = cache_.acquire(seed->key, [&] {
+    entry = cache_.acquire(seed->key(), [&] {
       built = true;
-      return MpkPlan::build(*seed->matrix, opts_.plan);
+      return MpkPlan::build(seed->matrix.matrix(), opts_.plan);
     });
   } catch (const Error& e) {
     for (const auto& r : live)
@@ -501,7 +540,7 @@ void MpkService::execute_batch(
   // token instead, via batches_.
   auto exec = std::make_shared<BatchExec>();
   exec->members = live;
-  exec->key = seed->key;
+  exec->key = seed->key();
   {
     std::lock_guard<std::mutex> lock(mu_);
     // A destructor that already swept active_ will not see this batch:
@@ -644,7 +683,7 @@ void MpkService::watchdog_loop() {
         continue;
       }
       if (now - req->last_progress_change < grace) continue;
-      if (cache_.quarantine(req->key)) {
+      if (cache_.quarantine(req->key())) {
         quarantines_.fetch_add(1, std::memory_order_relaxed);
         FBMPK_TCOUNT("service.quarantine", 1);
         pending_dump = "quarantine";

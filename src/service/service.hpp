@@ -98,6 +98,30 @@ struct RequestOptions {
   double deadline_seconds = -1.0;
 };
 
+/// A matrix registered once with the service: an immutable, shared
+/// CsrMatrix plus its fingerprint, hashed when the handle is made.
+/// Requests that carry a handle skip the per-request hash, and each
+/// request holds its own reference, so the caller may drop every copy
+/// of the handle right after submit(). Copying a handle copies one
+/// shared_ptr; the fingerprint is never recomputed.
+class MatrixHandle {
+ public:
+  /// Hashes `*a` once. A null `a` fails with kInvalidMatrix.
+  explicit MatrixHandle(std::shared_ptr<const CsrMatrix<double>> a);
+
+  const CsrMatrix<double>& matrix() const { return *matrix_; }
+  std::uint64_t fingerprint() const { return fingerprint_; }
+
+ private:
+  friend class MpkService;
+  /// Non-owning wrap of an already-hashed matrix: the one-shot
+  /// submit(const CsrMatrix&), whose caller keeps `a` alive.
+  MatrixHandle(const CsrMatrix<double>& a, std::uint64_t key);
+
+  std::shared_ptr<const CsrMatrix<double>> matrix_;
+  std::uint64_t fingerprint_ = 0;
+};
+
 /// Outcome of one request, returned by wait()/power().
 struct RequestResult {
   Status status;                 ///< ok, or typed kTimeout/kOverloaded/...
@@ -135,10 +159,17 @@ class MpkService {
   MpkService(const MpkService&) = delete;
   MpkService& operator=(const MpkService&) = delete;
 
-  /// Enqueue y = a^k x. Copies `x`; `a` must stay alive until the
-  /// request completes (the plan build may read it on a cache miss).
-  /// Never throws and never blocks on the queue: an over-bound
-  /// submission is completed immediately with kOverloaded.
+  /// Enqueue y = a^k x. Copies `x` and holds a reference to `a`, so
+  /// the request keeps the matrix alive on its own (the plan build
+  /// reads it on a cache miss). Never throws and never blocks on the
+  /// queue: an over-bound submission is completed immediately with
+  /// kOverloaded.
+  RequestId submit(const MatrixHandle& a, std::span<const double> x, int k,
+                   RequestOptions ropts = {});
+
+  /// One-shot form: hashes `a` on the caller's thread, then submits it
+  /// as a non-owning handle, so `a` must stay alive until the request
+  /// completes. Prefer a MatrixHandle for a matrix served repeatedly.
   RequestId submit(const CsrMatrix<double>& a, std::span<const double> x,
                    int k, RequestOptions ropts = {});
 
@@ -152,6 +183,8 @@ class MpkService {
   bool cancel(RequestId id);
 
   /// Blocking convenience: submit + wait.
+  RequestResult power(const MatrixHandle& a, std::span<const double> x,
+                      int k, std::span<double> y, RequestOptions ropts = {});
   RequestResult power(const CsrMatrix<double>& a, std::span<const double> x,
                       int k, std::span<double> y, RequestOptions ropts = {});
 
@@ -167,6 +200,10 @@ class MpkService {
   struct Request;
   struct BatchExec;
 
+  /// Shared tail of both submit() forms: builds the request around
+  /// `a`, then queues it or completes it at once with a typed error.
+  RequestId admit(RequestId id, MatrixHandle a, std::span<const double> x,
+                  int k, RequestOptions ropts);
   void worker_loop();
   void watchdog_loop();
   void execute(const std::shared_ptr<Request>& req);

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -80,6 +82,58 @@ TEST_F(ServiceTest, LruEvictionOrderIsDeterministic) {
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.evictions, 1u);
+}
+
+TEST_F(ServiceTest, FingerprintSeparatesNearbyMatrices) {
+  // 8 x 64 with column 2j at entry j: every column stays in range and
+  // ascending under any bit flip below, so each variant is a valid
+  // matrix that differs from the base in one bit of one array.
+  constexpr index_t kRows = 8, kCols = 64, kNnz = 32;
+  AlignedVector<index_t> rp, ci;
+  AlignedVector<double> v;
+  for (index_t i = 0; i <= kRows; ++i) rp.push_back(i * (kNnz / kRows));
+  for (index_t j = 0; j < kNnz; ++j) {
+    ci.push_back(2 * j);
+    v.push_back(1.0 + 0.25 * j);
+  }
+  std::set<std::uint64_t> seen;
+  std::size_t made = 0;
+  const auto add = [&](index_t rows, index_t cols, AlignedVector<index_t> r,
+                       AlignedVector<index_t> c, AlignedVector<double> w) {
+    const CsrMatrix<double> m(rows, cols, std::move(r), std::move(c),
+                              std::move(w));
+    seen.insert(fingerprint(m));
+    ++made;
+  };
+  add(kRows, kCols, rp, ci, v);
+  add(kRows, kCols + 1, rp, ci, v);  // dims only
+  for (index_t i = 1; i < kRows; ++i)
+    for (index_t bit : {1, 2}) {  // row_ptr: move one row boundary
+      auto r = rp;
+      r[static_cast<std::size_t>(i)] ^= bit;
+      add(kRows, kCols, std::move(r), ci, v);
+    }
+  for (std::size_t j = 0; j < ci.size(); ++j) {  // col_idx: 2j -> 2j+1
+    auto c = ci;
+    c[j] ^= 1;
+    add(kRows, kCols, rp, std::move(c), v);
+  }
+  for (std::size_t j = 0; j < v.size(); ++j)  // values: every bit
+    for (int bit = 0; bit < 64; ++bit) {
+      auto w = v;
+      std::uint64_t u;
+      std::memcpy(&u, &w[j], sizeof(u));
+      u ^= std::uint64_t{1} << bit;
+      std::memcpy(&w[j], &u, sizeof(u));
+      add(kRows, kCols, rp, ci, std::move(w));
+    }
+  // The same entries under swapped dims: 3 x 5 and 5 x 3 share col_idx
+  // and values; row_ptr differs only by the two empty trailing rows.
+  const AlignedVector<index_t> c3{0, 2, 1, 0, 1, 2};
+  const AlignedVector<double> v3{1, 2, 3, 4, 5, 6};
+  add(3, 5, {0, 2, 3, 6}, c3, v3);
+  add(5, 3, {0, 2, 3, 6, 6, 6}, c3, v3);
+  EXPECT_EQ(seen.size(), made);
 }
 
 TEST_F(ServiceTest, CacheHitServesSecondRequestBitwiseEqual) {
@@ -621,6 +675,76 @@ TEST_F(ServiceTest, PreCancelledBatchMemberIsMaskedOut) {
   ASSERT_TRUE(r3.status.ok()) << r3.status.error().what();
   expect_bitwise_equal(y1, serial_oracle(a, x1, k, opts.plan));
   expect_bitwise_equal(y3, serial_oracle(a, x3, k, opts.plan));
+}
+
+TEST_F(ServiceTest, HandleAndOneShotSubmitShareOneCacheEntry) {
+  const auto a = gen::make_laplacian_2d(16, 12);
+  const MatrixHandle h(std::make_shared<const CsrMatrix<double>>(a));
+  const auto x = test_input(a.rows());
+  ServiceOptions opts;
+  opts.workers = 1;
+  MpkService svc(opts);
+
+  AlignedVector<double> y1(static_cast<std::size_t>(a.rows()));
+  AlignedVector<double> y2(static_cast<std::size_t>(a.rows()));
+  const RequestResult r1 = svc.power(h, x, 3, y1);
+  ASSERT_TRUE(r1.status.ok()) << r1.status.error().what();
+  EXPECT_FALSE(r1.cache_hit);
+  // A separate copy of the same matrix through the one-shot path.
+  const RequestResult r2 = svc.power(a, x, 3, y2);
+  ASSERT_TRUE(r2.status.ok()) << r2.status.error().what();
+  EXPECT_TRUE(r2.cache_hit);
+
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.cache.misses, 1u);
+  EXPECT_EQ(st.cache.hits, 1u);
+  EXPECT_EQ(svc.cache().keys_lru_order(),
+            (std::vector<std::uint64_t>{fingerprint(a)}));
+  const auto oracle = serial_oracle(a, x, 3, opts.plan);
+  expect_bitwise_equal(y1, oracle);
+  expect_bitwise_equal(y2, oracle);
+}
+
+TEST_F(ServiceTest, DroppedHandleStaysAliveThroughCacheMiss) {
+  // The one worker is wedged in a stalled sweep of `blocker` while the
+  // caller submits `a` by handle and drops its only reference. The
+  // queued request alone must keep `a` alive for its plan build (a
+  // use-after-free here is what the ASan job would report).
+  const auto blocker = gen::make_laplacian_2d(24, 24);
+  const auto a = gen::make_laplacian_2d(20, 18);
+  const auto xb = test_input(blocker.rows());
+  const auto x = test_input(a.rows());
+  const auto oracle = serial_oracle(a, x, 4, PlanOptions{});
+  ServiceOptions opts;
+  opts.workers = 1;
+  MpkService svc(opts);
+
+  fault::Injector::instance().arm(fault::Point::kSweepStall, /*fires=*/1,
+                                  /*skip=*/0, /*stall_ms=*/200);
+  const auto id_block = svc.submit(blocker, xb, 2);
+  const auto t_arm = std::chrono::steady_clock::now();
+  while (fault::Injector::instance().fired(fault::Point::kSweepStall) < 1) {
+    ASSERT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t_arm)
+                  .count(),
+              10.0)
+        << "sweep never reached the stall point";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  MpkService::RequestId id = 0;
+  {
+    MatrixHandle h(std::make_shared<const CsrMatrix<double>>(a));
+    id = svc.submit(h, x, 4);
+  }  // the caller's last reference is gone; the build has not run
+
+  AlignedVector<double> yb(static_cast<std::size_t>(blocker.rows()));
+  ASSERT_TRUE(svc.wait(id_block, yb).status.ok());
+  AlignedVector<double> y(static_cast<std::size_t>(a.rows()));
+  const RequestResult r = svc.wait(id, y);
+  ASSERT_TRUE(r.status.ok()) << r.status.error().what();
+  EXPECT_FALSE(r.cache_hit);
+  expect_bitwise_equal(y, oracle);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
-// Unit tests for src/support: RNG, stats, aligned buffers, error macros.
+// Unit tests for src/support: RNG, stats, aligned buffers, error macros,
+// CRC32.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "support/aligned_buffer.hpp"
+#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -230,6 +234,54 @@ TEST(Timer, MeasuresNonNegativeDurations) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.seconds(), 0.0);
   EXPECT_GE(t.milliseconds(), t.seconds());  // ms numerically larger
+}
+
+/// The byte-at-a-time CRC32 the slicing-by-8 path must reproduce.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int b = 0; b < 8; ++b)
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> crc_test_bytes(std::size_t n) {
+  std::vector<unsigned char> v(n);
+  SplitMix64 rng(7);
+  for (auto& b : v) b = static_cast<unsigned char>(rng.next());
+  return v;
+}
+
+TEST(Checksum, KnownCheckValue) {
+  const char* s = "123456789";
+  EXPECT_EQ(crc32(s, std::strlen(s)), 0xCBF43926u);
+  EXPECT_EQ(crc32(s, 0), 0u);
+}
+
+TEST(Checksum, MatchesByteLoopAtEveryLengthAndOffset) {
+  // Lengths 0-64 straddle the 8-byte step and its byte tail; offsets
+  // 0-7 put the words at every alignment.
+  const auto buf = crc_test_bytes(64 + 8);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 64; ++len)
+      EXPECT_EQ(crc32(buf.data() + off, len),
+                reference_crc32(buf.data() + off, len))
+          << "offset " << off << ", length " << len;
+}
+
+TEST(Checksum, SplitUpdatesEqualOneShot) {
+  const auto buf = crc_test_bytes(200);
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, reference_crc32(buf.data(), buf.size()));
+  for (std::size_t a = 0; a <= buf.size(); a += 7)
+    for (std::size_t b = a; b <= buf.size(); b += 13) {
+      std::uint32_t s = crc32_update(kCrc32Init, buf.data(), a);
+      s = crc32_update(s, buf.data() + a, b - a);
+      s = crc32_update(s, buf.data() + b, buf.size() - b);
+      EXPECT_EQ(crc32_finish(s), whole) << "split at " << a << ", " << b;
+    }
 }
 
 }  // namespace

@@ -10,13 +10,16 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fbmpk.hpp"
 #include "gen/suite.hpp"
 #include "perf/harness.hpp"
+#include "service/service.hpp"
 #include "support/fault_inject.hpp"
 #include "support/json.hpp"
 #include "telemetry/hw_counters.hpp"
@@ -253,6 +256,48 @@ TEST(TelemetryHotPath, PlanAndSweepSpansMatchBuildFlavor) {
     if (name == "plan.builds") builds = v;
   EXPECT_EQ(builds, 1);
   EXPECT_GT(snap.total_wait.stages, 0u);
+}
+
+TEST(TelemetryHotPath, OneShotSubmitSplitsHashingFromAdmission) {
+  ScopedTelemetry scope;
+  const auto a = test_matrix();
+  const service::MatrixHandle h(std::make_shared<const CsrMatrix<double>>(a));
+  AlignedVector<double> x(static_cast<std::size_t>(a.rows()), 1.0);
+  AlignedVector<double> y(x.size());
+  service::MpkService::RequestId one_shot = 0;
+  {
+    service::ServiceOptions so;
+    so.workers = 1;
+    service::MpkService svc(so);
+    one_shot = svc.submit(a, x, 2);
+    ASSERT_TRUE(svc.wait(one_shot, y).status.ok());
+    ASSERT_TRUE(svc.power(h, x, 2, y).status.ok());
+  }
+
+  const telemetry::Snapshot snap = reg().snapshot();
+  if (!telemetry::compiled_in()) {
+    EXPECT_EQ(snap.total_events(), 0u);
+    return;
+  }
+  // Only the one-shot submit hashes, and inside its own submit span.
+  std::vector<telemetry::SpanEvent> submits, hashes;
+  for (const auto& t : snap.threads)
+    for (const auto& e : t.events) {
+      const std::string name = e.name;
+      if (name == "service.submit") submits.push_back(e);
+      if (name == "service.fingerprint") hashes.push_back(e);
+    }
+  ASSERT_EQ(submits.size(), 2u);
+  ASSERT_EQ(hashes.size(), 1u);
+  const telemetry::SpanEvent& fp = hashes.front();
+  EXPECT_EQ(fp.args.req, static_cast<std::int64_t>(one_shot));
+  const auto outer =
+      std::find_if(submits.begin(), submits.end(), [&](const auto& e) {
+        return e.args.req == fp.args.req;
+      });
+  ASSERT_NE(outer, submits.end());
+  EXPECT_LE(outer->start_ns, fp.start_ns);
+  EXPECT_GE(outer->start_ns + outer->dur_ns, fp.start_ns + fp.dur_ns);
 }
 
 TEST(TelemetryHotPath, RuntimeOffSweepAllocatesNothing) {

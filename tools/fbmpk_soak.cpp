@@ -9,7 +9,10 @@
 // failure) while client threads
 // hammer one MpkService with mixed deadlines and explicit cancels.
 // Clients periodically fire same-(matrix, k) bursts so the request
-// coalescer (enabled by default here) batches under chaos too.
+// coalescer (enabled by default here) batches under chaos too. A
+// seed-chosen half of the requests, bursts included, go through
+// registered MatrixHandles and the rest through the one-shot
+// submit(const CsrMatrix&), so both entry points soak.
 // The pass criteria are the serving layer's whole contract:
 //
 //   1. no crash, hang, or deadlock (the binary exits before the
@@ -28,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -161,8 +165,21 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Registered once; their fingerprints must equal the one-shot hash, or
+  // the two entry points would split one matrix over two cache entries.
+  std::vector<service::MatrixHandle> handles;
+  for (const auto& m : mats) {
+    handles.emplace_back(std::make_shared<const CsrMatrix<double>>(m));
+    if (handles.back().fingerprint() != service::fingerprint(m)) {
+      std::fprintf(stderr, "handle fingerprint differs from the one-shot\n");
+      return 1;
+    }
+  }
+
   service::MpkService svc(sopts);
   std::atomic<bool> stop{false};
+  std::atomic<long long> by_handle{0};
+  std::atomic<long long> one_shot{0};
   std::atomic<long long> ok_count{0};
   std::atomic<long long> typed_count{0};
   std::atomic<long long> violations{0};
@@ -236,13 +253,19 @@ int main(int argc, char** argv) {
           case 1: ropts.deadline_seconds = 0.03; break;  // tight
           default: ropts.deadline_seconds = 0.5; break;  // generous
         }
+        const bool use_handle = rng.range(0, 1) == 1;
+        const auto submit = [&] {
+          (use_handle ? by_handle : one_shot).fetch_add(1);
+          return use_handle ? svc.submit(handles[m], inputs[m], k, ropts)
+                            : svc.submit(mats[m], inputs[m], k, ropts);
+        };
         if (rng.range(0, 7) == 0) {
           // Same-fingerprint burst: submit several identical (matrix,
           // k) requests back to back so the coalescer has company to
           // gather — each lane must still match the oracle bitwise.
           constexpr int kBurst = 3;
           service::MpkService::RequestId ids[kBurst];
-          for (auto& id : ids) id = svc.submit(mats[m], inputs[m], k, ropts);
+          for (auto& id : ids) id = submit();
           for (const auto id : ids) {
             AlignedVector<double> y(
                 static_cast<std::size_t>(mats[m].rows()));
@@ -252,7 +275,7 @@ int main(int argc, char** argv) {
         }
         AlignedVector<double> y(
             static_cast<std::size_t>(mats[m].rows()));
-        const auto id = svc.submit(mats[m], inputs[m], k, ropts);
+        const auto id = submit();
         if (rng.range(0, 9) == 0) {  // occasional explicit cancel
           std::this_thread::sleep_for(
               std::chrono::microseconds(rng.range(0, 2000)));
@@ -290,6 +313,8 @@ int main(int argc, char** argv) {
   std::printf("batching: %llu batched sweeps, %llu requests coalesced\n",
               static_cast<unsigned long long>(st.batches),
               static_cast<unsigned long long>(st.batch_coalesced));
+  std::printf("entry points: %lld by handle, %lld one-shot\n",
+              by_handle.load(), one_shot.load());
   // Heartbeat contract: the sliding-window snapshot must format into
   // the one-line heartbeat and parse back — the same line `serve
   // --heartbeat` emits for operators (docs/OBSERVABILITY.md).
@@ -322,6 +347,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "VIOLATION: %llu submitted but %llu completed\n",
                  static_cast<unsigned long long>(st.submitted),
                  static_cast<unsigned long long>(st.completed));
+    violations.fetch_add(1);
+  }
+  if (by_handle.load() == 0 || one_shot.load() == 0) {
+    std::fprintf(stderr, "VIOLATION: an entry point was never exercised\n");
     violations.fetch_add(1);
   }
   if (ok_count.load() == 0) {
