@@ -47,17 +47,19 @@ inline double robust_seconds(const RunningStats& stats) {
   return stats.median();
 }
 
-/// Median seconds of the standard MPK baseline (A^k x, row-parallel
-/// unrolled SpMV — the paper's "optimized kernel" baseline).
+/// Median seconds of the standard MPK baseline (A^k x, unrolled SpMV —
+/// the paper's "optimized kernel" baseline). Row-parallel by default;
+/// SpmvExec::kUnrolled times it on one thread, to compare against a
+/// serial FBMPK run.
 inline double time_baseline_mpk(const CsrMatrix<double>& a,
                                 std::span<const double> x, int k,
-                                const perf::BenchOptions& o) {
+                                const perf::BenchOptions& o,
+                                SpmvExec exec = SpmvExec::kParallel) {
   const index_t n = a.rows();
   MpkWorkspace<double> ws;
   AlignedVector<double> y(static_cast<std::size_t>(n));
   return robust_seconds(perf::time_runs(
-      [&] { mpk_power<double>(a, x, k, y, ws, SpmvExec::kParallel); },
-      o.reps, o.warmup));
+      [&] { mpk_power<double>(a, x, k, y, ws, exec); }, o.reps, o.warmup));
 }
 
 /// Median seconds of FBMPK through a prebuilt plan (kernel time only).

@@ -30,7 +30,9 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{m.name};
     for (std::size_t i = 0; i < opts.powers.size(); ++i) {
       const int k = opts.powers[i];
-      const double base_s = bench::time_baseline_mpk(m.matrix, x, k, opts);
+      // Serial baseline: the plan above runs serial.
+      const double base_s =
+          bench::time_baseline_mpk(m.matrix, x, k, opts, SpmvExec::kUnrolled);
       const double fb_s = bench::time_plan_power(plan, ws, x, k, opts);
       const double speedup = base_s / fb_s;
       per_k[i].add(speedup);

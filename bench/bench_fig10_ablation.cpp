@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
                           /*parallel=*/false, /*reorder=*/false);
     MpkPlan::Workspace w1, w2;
 
-    const double base_s = bench::time_baseline_mpk(m.matrix, x, k, opts);
+    // Serial baseline: both plans above run serial.
+    const double base_s =
+        bench::time_baseline_mpk(m.matrix, x, k, opts, SpmvExec::kUnrolled);
     const double fb_s = bench::time_plan_power(plan_fb, w1, x, k, opts);
     const double btb_s = bench::time_plan_power(plan_btb, w2, x, k, opts);
     fb_speedups.add(base_s / fb_s);

@@ -54,11 +54,18 @@ namespace {
 
 using Args = std::map<std::string, std::string>;
 
+/// Bad command-line input: main() prints it with the usage text and
+/// exits 2, like a missing command.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 Args parse_flags(int argc, char** argv, int first) {
   Args args;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
-    FBMPK_CHECK_MSG(arg.rfind("--", 0) == 0, "expected --flag, got " << arg);
+    if (arg.rfind("--", 0) != 0)
+      throw UsageError("expected --flag, got " + arg);
     const auto eq = arg.find('=');
     // A bare "--flag" is a boolean switch: store "1".
     if (eq == std::string::npos)
@@ -71,7 +78,7 @@ Args parse_flags(int argc, char** argv, int first) {
 
 std::string need(const Args& args, const std::string& key) {
   const auto it = args.find(key);
-  FBMPK_CHECK_MSG(it != args.end(), "missing required --" << key << "=");
+  if (it == args.end()) throw UsageError("missing required --" + key + "=");
   return it->second;
 }
 
@@ -80,12 +87,6 @@ std::string get(const Args& args, const std::string& key,
   const auto it = args.find(key);
   return it == args.end() ? fallback : it->second;
 }
-
-/// Bad command-line input: main() prints it with the usage text and
-/// exits 2, like a missing command.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 /// `text`, the value of --`key`, parsed whole as a T no smaller than
 /// `min`. Junk, trailing characters, overflow or a value below `min`
@@ -104,6 +105,19 @@ T parse_number(const std::string& key, const std::string& text,
     throw UsageError(os.str());
   }
   return v;
+}
+
+/// `text`, the value of choice flag --`key`, parsed by the library's
+/// `parse` (parse_scheduler, parse_backend, parse_precision). A name it
+/// rejects is a UsageError.
+template <class Parse>
+auto parse_choice(const std::string& key, const std::string& text,
+                  Parse parse) {
+  try {
+    return parse(text);
+  } catch (const Error&) {
+    throw UsageError("--" + key + " does not take '" + text + "'");
+  }
 }
 
 /// Numeric flag --`key`, or `fallback` when absent.
@@ -287,22 +301,24 @@ int cmd_plan(const Args& args) {
   // Scheduler choice (docs/PARALLELISM.md §9). Level plans renumber by
   // thread ownership instead of the ABMC reorder, so levels implies
   // reorder off.
-  opts.scheduler = parse_scheduler(get(args, "scheduler", "abmc"));
+  opts.scheduler = parse_choice("scheduler", get(args, "scheduler", "abmc"),
+                                parse_scheduler);
   if (opts.scheduler == Scheduler::kLevels) opts.reorder = false;
   const std::string sweep = get(args, "sweep", "barrier");
-  if (sweep == "p2p") {
+  if (sweep == "p2p")
     opts.sweep.sync = SweepSync::kPointToPoint;
-  } else {
-    FBMPK_CHECK_MSG(sweep == "barrier", "--sweep must be barrier or p2p");
-  }
+  else if (sweep != "barrier")
+    throw UsageError("--sweep must be barrier or p2p, got '" + sweep + "'");
   // Row-kernel configuration. "scalar" keeps the exact mode; anything
   // else opts into fast mode (docs/KERNELS.md).
-  opts.kernel_backend = parse_backend(get(args, "backend", "scalar"));
+  opts.kernel_backend = parse_choice(
+      "backend", get(args, "backend", "scalar"), parse_backend);
   opts.index_compress = get(args, "index-compress", "0") != "0";
   // Value storage precision. fp64 is the exact default; fp32 narrows
   // the stored value stream while accumulating in fp64
   // (docs/KERNELS.md has the error bound).
-  opts.value_precision = parse_precision(get(args, "precision", "fp64"));
+  opts.value_precision = parse_choice(
+      "precision", get(args, "precision", "fp64"), parse_precision);
   if (autotune) {
     std::printf("autotuning block count for k=%d...\n", autotune_k);
     const auto tuned = autotune_block_count(a, autotune_k);
@@ -404,7 +420,8 @@ int cmd_power(const Args& args) {
   // Scheduler pin: scripted runs can assert which scheduler the loaded
   // plan persists instead of silently running the other one.
   if (args.count("scheduler") != 0) {
-    const Scheduler want = parse_scheduler(args.at("scheduler"));
+    const Scheduler want =
+        parse_choice("scheduler", args.at("scheduler"), parse_scheduler);
     FBMPK_CHECK_CODE(plan.options().scheduler == want,
                      ErrorCode::kUnsupported,
                      "--scheduler=" << scheduler_name(want)
@@ -526,7 +543,8 @@ int cmd_autotune(const Args& args) {
   // Scheduler for the tuned plan: abmc / levels pin it, auto runs the
   // measured race first (docs/AUTOTUNING.md §the-scheduler-race).
   PlanOptions base;
-  base.scheduler = parse_scheduler(get(args, "scheduler", "abmc"));
+  base.scheduler = parse_choice("scheduler", get(args, "scheduler", "abmc"),
+                                parse_scheduler);
   if (base.scheduler == Scheduler::kLevels) base.reorder = false;
   if (base.scheduler == Scheduler::kAuto) {
     Timer ts;
@@ -634,7 +652,8 @@ int cmd_serve(const Args& args) {
   // Scheduler for cache-miss plan builds. Levels implies reorder off
   // plus the blocked p2p engine so the full degradation ladder
   // (engine -> barrier -> serial) stays populated.
-  sopts.plan.scheduler = parse_scheduler(get(args, "scheduler", "abmc"));
+  sopts.plan.scheduler = parse_choice(
+      "scheduler", get(args, "scheduler", "abmc"), parse_scheduler);
   if (sopts.plan.scheduler == Scheduler::kLevels) {
     sopts.plan.reorder = false;
     sopts.plan.sweep.sync = SweepSync::kPointToPoint;

@@ -670,7 +670,8 @@ KernelStatus MpkPlan::recurrence(std::span<const RecurrenceStep<double>> steps,
       fbmpk_recurrence_sweep(
           split_, steps, px, ws.fb, emit,
           [&](auto&& f) { ls.fwd.for_each_row(ls.num_threads, f); },
-          [&](auto&& f) { ls.bwd.for_each_row(ls.num_threads, f); });
+          [&](auto&& f) { ls.bwd.for_each_row(ls.num_threads, f); },
+          kWalkUp);  // backward slots list their rows upward
     } else if (opts_.parallel) {
       fbmpk_recurrence_parallel_sweep(split_, schedule_, steps, px, ws.fb,
                                       emit);

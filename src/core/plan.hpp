@@ -152,8 +152,9 @@ struct PlanOptions {
   /// the exact accumulation order).
   bool index_compress = false;
   /// Software-prefetch lookahead (in nonzeros) for the col/val streams
-  /// of dispatched kernels; 0 disables. Ignored by the exact scalar
-  /// backend.
+  /// of dispatched kernels, applied along each sweep's walk direction;
+  /// 0 disables. The exact helpers (fb_detail.hpp) prefetch a fixed
+  /// 256 nonzeros along the walk regardless (docs/KERNELS.md).
   int prefetch_dist = 16;
   /// How triangle/diagonal values are *stored* for the sweeps. kFp64
   /// (default) reads the CSR doubles. kFp32 stores floats (4 bytes/nnz,

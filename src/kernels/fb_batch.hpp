@@ -75,19 +75,25 @@ struct BatchScalarRows {
     return reinterpret_cast<const double*>(xy);
   }
 
-  void l_dot2(index_t i, const P* xy, P& s0, P& s1) const {
+  // The sweep's walk tag is accepted and unused: the batched helpers
+  // do not prefetch along the walk.
+  template <Walk W>
+  void l_dot2(index_t i, const P* xy, P& s0, P& s1, WalkTag<W>) const {
     detail::row_dot2_btb_bat<B>(lci, lva, lrp[i], lrp[i + 1], raw(xy), s0.v,
                                 s1.v);
   }
-  void u_dot2(index_t i, const P* xy, P& s0, P& s1) const {
+  template <Walk W>
+  void u_dot2(index_t i, const P* xy, P& s0, P& s1, WalkTag<W>) const {
     detail::row_dot2_btb_bat<B>(uci, uva, urp[i], urp[i + 1], raw(xy), s0.v,
                                 s1.v);
   }
-  void l_dot1(index_t i, const P* xy, int offset, P& s) const {
+  template <Walk W>
+  void l_dot1(index_t i, const P* xy, int offset, P& s, WalkTag<W>) const {
     detail::row_dot1_btb_bat<B>(lci, lva, lrp[i], lrp[i + 1], raw(xy), offset,
                                 s.v);
   }
-  void u_dot1(index_t i, const P* xy, int offset, P& s) const {
+  template <Walk W>
+  void u_dot1(index_t i, const P* xy, int offset, P& s, WalkTag<W>) const {
     detail::row_dot1_btb_bat<B>(uci, uva, urp[i], urp[i + 1], raw(xy), offset,
                                 s.v);
   }
@@ -203,16 +209,22 @@ struct BatchDispatchRows {
     return reinterpret_cast<const double*>(xy);
   }
 
-  void l_dot2(index_t i, const P* xy, P& s0, P& s1) const {
+  // The sweep's walk tag is accepted and unused: the batched helpers
+  // do not prefetch along the walk.
+  template <Walk W>
+  void l_dot2(index_t i, const P* xy, P& s0, P& s1, WalkTag<W>) const {
     l.dot2(i, raw(xy), s0.v, s1.v);
   }
-  void u_dot2(index_t i, const P* xy, P& s0, P& s1) const {
+  template <Walk W>
+  void u_dot2(index_t i, const P* xy, P& s0, P& s1, WalkTag<W>) const {
     u.dot2(i, raw(xy), s0.v, s1.v);
   }
-  void l_dot1(index_t i, const P* xy, int offset, P& s) const {
+  template <Walk W>
+  void l_dot1(index_t i, const P* xy, int offset, P& s, WalkTag<W>) const {
     l.dot1(i, raw(xy), offset, s.v);
   }
-  void u_dot1(index_t i, const P* xy, int offset, P& s) const {
+  template <Walk W>
+  void u_dot1(index_t i, const P* xy, int offset, P& s, WalkTag<W>) const {
     u.dot1(i, raw(xy), offset, s.v);
   }
   double diag(index_t i) const {

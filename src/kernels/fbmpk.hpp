@@ -134,7 +134,8 @@ void fbmpk_sweep_btb(const TriangularSplit<T>& s, std::span<const T> x0,
     tr.read(urp + i);
     tr.read(urp + i + 1);
     T sum{};
-    detail::row_dot1_btb(uci, uva, urp[i], urp[i + 1], xy, 0, sum, tr);
+    detail::row_dot1_btb<Walk::kUp>(uci, uva, urp[i], urp[i + 1], xy, 0, sum,
+                                     tr);
     tmp[i] = sum;
     tr.write(tmp + i);
   }
@@ -154,7 +155,8 @@ void fbmpk_sweep_btb(const TriangularSplit<T>& s, std::span<const T> x0,
       tr.read(xy + 2 * i);
       T sum0 = tmp[i] + d[i] * xy[2 * i];
       T sum1{};
-      detail::row_dot2_btb(lci, lva, lrp[i], lrp[i + 1], xy, sum0, sum1, tr);
+      detail::row_dot2_btb<Walk::kUp>(lci, lva, lrp[i], lrp[i + 1], xy, sum0,
+                                      sum1, tr);
       xy[2 * i + 1] = sum0;
       tr.write(xy + 2 * i + 1);
       emit(p_odd, i, sum0);
@@ -175,8 +177,8 @@ void fbmpk_sweep_btb(const TriangularSplit<T>& s, std::span<const T> x0,
         T sum1{};
         // row_dot2 accumulates (even, odd); backward wants sum0 += odd,
         // sum1 += even, hence the swapped outputs.
-        detail::row_dot2_btb(uci, uva, urp[i], urp[i + 1], xy, sum1, sum0,
-                             tr);
+        detail::row_dot2_btb<Walk::kDown>(uci, uva, urp[i], urp[i + 1], xy,
+                                          sum1, sum0, tr);
         xy[2 * i] = sum0;
         tr.write(xy + 2 * i);
         emit(p_even, i, sum0);
@@ -189,7 +191,8 @@ void fbmpk_sweep_btb(const TriangularSplit<T>& s, std::span<const T> x0,
         tr.read(urp + i + 1);
         tr.read(tmp + i);
         T sum0 = tmp[i];
-        detail::row_dot1_btb(uci, uva, urp[i], urp[i + 1], xy, 1, sum0, tr);
+        detail::row_dot1_btb<Walk::kDown>(uci, uva, urp[i], urp[i + 1], xy, 1,
+                                          sum0, tr);
         xy[2 * i] = sum0;
         tr.write(xy + 2 * i);
         emit(p_even, i, sum0);
@@ -207,7 +210,8 @@ void fbmpk_sweep_btb(const TriangularSplit<T>& s, std::span<const T> x0,
       tr.read(d + i);
       tr.read(xy + 2 * i);
       T sum = tmp[i] + d[i] * xy[2 * i];
-      detail::row_dot1_btb(lci, lva, lrp[i], lrp[i + 1], xy, 0, sum, tr);
+      detail::row_dot1_btb<Walk::kUp>(lci, lva, lrp[i], lrp[i + 1], xy, 0, sum,
+                                      tr);
       emit(k, i, sum);
     }
   }

@@ -90,7 +90,7 @@ void fbmpk_level_sweep_rows(const TriangularSplit<T>& s,
     barrier();
     if (!dead) for_chunk([&](index_t i) {
       TI sum{};
-      rows.u_dot1(i, xy, 0, sum);
+      rows.u_dot1(i, xy, 0, sum, kWalkUp);
       tmp[i] = sum;
     });
 
@@ -105,13 +105,15 @@ void fbmpk_level_sweep_rows(const TriangularSplit<T>& s,
           const auto di = rows.diag(i);
           TI sum0 = madd(di, xy[2 * i], tmp[i]);
           TI sum1{};
-          rows.l_dot2(i, xy, sum0, sum1);
+          rows.l_dot2(i, xy, sum0, sum1, kWalkUp);
           xy[2 * i + 1] = sum0;
           emit(p_odd, i, sum0);
           tmp[i] = madd(di, sum0, sum1);
         });
       }
 
+      // Backward slots list their rows upward (MpkPlan's renumbering
+      // sorts them by (level, row)), so U streams upward here too.
       const bool prime_next = !(it == pairs - 1 && k % 2 == 0);
       for (index_t sb = 0; sb < sched.bwd.num_stages; ++sb) {
         barrier();
@@ -120,12 +122,12 @@ void fbmpk_level_sweep_rows(const TriangularSplit<T>& s,
           TI sum0 = tmp[i];
           if (prime_next) {
             TI sum1{};
-            rows.u_dot2(i, xy, sum1, sum0);
+            rows.u_dot2(i, xy, sum1, sum0, kWalkUp);
             xy[2 * i] = sum0;
             emit(p_even, i, sum0);
             tmp[i] = sum1;
           } else {
-            rows.u_dot1(i, xy, 1, sum0);
+            rows.u_dot1(i, xy, 1, sum0, kWalkUp);
             xy[2 * i] = sum0;
             emit(p_even, i, sum0);
           }
@@ -138,7 +140,7 @@ void fbmpk_level_sweep_rows(const TriangularSplit<T>& s,
       dead = dead || stage_dead();
       if (!dead) for_chunk([&](index_t i) {
         TI sum = madd(rows.diag(i), xy[2 * i], tmp[i]);
-        rows.l_dot1(i, xy, 0, sum);
+        rows.l_dot1(i, xy, 0, sum, kWalkUp);
         emit(k, i, sum);
       });
     }

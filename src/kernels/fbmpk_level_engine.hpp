@@ -267,7 +267,7 @@ bool fbmpk_level_engine_try_sweep_rows(const TriangularSplit<T>& s,
     FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_begin();)
     if (!dead) for_own_rows([&](index_t i) {
       TI sum{};
-      rows.u_dot1(i, xy, 0, sum);
+      rows.u_dot1(i, xy, 0, sum, kWalkUp);
       tmp[i] = sum;
     });
     bump();  // epoch 2
@@ -294,7 +294,7 @@ bool fbmpk_level_engine_try_sweep_rows(const TriangularSplit<T>& s,
             const auto di = rows.diag(i);
             TI sum0 = madd(di, xy[2 * i], tmp[i]);
             TI sum1{};
-            rows.l_dot2(i, xy, sum0, sum1);
+            rows.l_dot2(i, xy, sum0, sum1, kWalkUp);
             xy[2 * i + 1] = sum0;
             emit(p_odd, i, sum0);
             tmp[i] = madd(di, sum0, sum1);
@@ -304,6 +304,8 @@ bool fbmpk_level_engine_try_sweep_rows(const TriangularSplit<T>& s,
             fbmpk_rec.stage_end("F", p_odd, static_cast<int>(sf));)
       }
 
+      // Backward slots list their rows upward (MpkPlan's renumbering
+      // sorts them by (level, row)), so U streams upward here too.
       for (index_t sb = 0; sb < SB; ++sb) {
         const std::size_t slot = sched.bwd.slot(t, sb);
         wait_deps(sched.bwd_fdep_ptr, sched.bwd_fdeps, slot, base);
@@ -317,12 +319,12 @@ bool fbmpk_level_engine_try_sweep_rows(const TriangularSplit<T>& s,
             TI sum0 = tmp[i];
             if (prime_next) {
               TI sum1{};
-              rows.u_dot2(i, xy, sum1, sum0);
+              rows.u_dot2(i, xy, sum1, sum0, kWalkUp);
               xy[2 * i] = sum0;
               emit(p_even, i, sum0);
               tmp[i] = sum1;
             } else {
-              rows.u_dot1(i, xy, 1, sum0);
+              rows.u_dot1(i, xy, 1, sum0, kWalkUp);
               xy[2 * i] = sum0;
               emit(p_even, i, sum0);
             }
@@ -339,7 +341,7 @@ bool fbmpk_level_engine_try_sweep_rows(const TriangularSplit<T>& s,
       FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_begin();)
       if (!dead) for_own_rows([&](index_t i) {
         TI sum = madd(rows.diag(i), xy[2 * i], tmp[i]);
-        rows.l_dot1(i, xy, 0, sum);
+        rows.l_dot1(i, xy, 0, sum, kWalkUp);
         emit(k, i, sum);
       });
       bump();

@@ -53,21 +53,26 @@ struct ScalarRows {
         uva(s.upper.values().data()),
         dgv(s.diag.data()) {}
 
-  void l_dot2(index_t i, const T* xy, T& s0, T& s1) const {
+  // The trailing tag is the walk direction the calling sweep states.
+  template <Walk W>
+  void l_dot2(index_t i, const T* xy, T& s0, T& s1, WalkTag<W>) const {
     NullTracer tr;
-    detail::row_dot2_btb(lci, lva, lrp[i], lrp[i + 1], xy, s0, s1, tr);
+    detail::row_dot2_btb<W>(lci, lva, lrp[i], lrp[i + 1], xy, s0, s1, tr);
   }
-  void u_dot2(index_t i, const T* xy, T& s0, T& s1) const {
+  template <Walk W>
+  void u_dot2(index_t i, const T* xy, T& s0, T& s1, WalkTag<W>) const {
     NullTracer tr;
-    detail::row_dot2_btb(uci, uva, urp[i], urp[i + 1], xy, s0, s1, tr);
+    detail::row_dot2_btb<W>(uci, uva, urp[i], urp[i + 1], xy, s0, s1, tr);
   }
-  void l_dot1(index_t i, const T* xy, int offset, T& s) const {
+  template <Walk W>
+  void l_dot1(index_t i, const T* xy, int offset, T& s, WalkTag<W>) const {
     NullTracer tr;
-    detail::row_dot1_btb(lci, lva, lrp[i], lrp[i + 1], xy, offset, s, tr);
+    detail::row_dot1_btb<W>(lci, lva, lrp[i], lrp[i + 1], xy, offset, s, tr);
   }
-  void u_dot1(index_t i, const T* xy, int offset, T& s) const {
+  template <Walk W>
+  void u_dot1(index_t i, const T* xy, int offset, T& s, WalkTag<W>) const {
     NullTracer tr;
-    detail::row_dot1_btb(uci, uva, urp[i], urp[i + 1], xy, offset, s, tr);
+    detail::row_dot1_btb<W>(uci, uva, urp[i], urp[i + 1], xy, offset, s, tr);
   }
   /// Diagonal entry i (exact storage — the fp64 reference stream).
   T diag(index_t i) const { return dgv[i]; }
@@ -159,7 +164,7 @@ void fbmpk_parallel_sweep_rows(const TriangularSplit<T>& s,
     for (index_t i = 0; i < n; ++i) {
       if (dead) continue;
       TI sum{};
-      rows.u_dot1(i, xy, 0, sum);
+      rows.u_dot1(i, xy, 0, sum, kWalkUp);
       tmp[i] = sum;
     }
     FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end("head", 0, -1);)
@@ -182,7 +187,7 @@ void fbmpk_parallel_sweep_rows(const TriangularSplit<T>& s,
             const auto di = rows.diag(i);
             TI sum0 = madd(di, xy[2 * i], tmp[i]);
             TI sum1{};
-            rows.l_dot2(i, xy, sum0, sum1);
+            rows.l_dot2(i, xy, sum0, sum1, kWalkUp);
             xy[2 * i + 1] = sum0;
             emit(p_odd, i, sum0);
             tmp[i] = madd(di, sum0, sum1);
@@ -207,12 +212,12 @@ void fbmpk_parallel_sweep_rows(const TriangularSplit<T>& s,
             TI sum0 = tmp[i];
             if (prime_next) {
               TI sum1{};
-              rows.u_dot2(i, xy, sum1, sum0);
+              rows.u_dot2(i, xy, sum1, sum0, kWalkDown);
               xy[2 * i] = sum0;
               emit(p_even, i, sum0);
               tmp[i] = sum1;
             } else {
-              rows.u_dot1(i, xy, 1, sum0);
+              rows.u_dot1(i, xy, 1, sum0, kWalkDown);
               xy[2 * i] = sum0;
               emit(p_even, i, sum0);
             }
@@ -234,7 +239,7 @@ void fbmpk_parallel_sweep_rows(const TriangularSplit<T>& s,
       for (index_t i = 0; i < n; ++i) {
         if (dead) continue;
         TI sum = madd(rows.diag(i), xy[2 * i], tmp[i]);
-        rows.l_dot1(i, xy, 0, sum);
+        rows.l_dot1(i, xy, 0, sum, kWalkUp);
         emit(k, i, sum);
       }
       FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end("tail", k, -1);)

@@ -41,6 +41,24 @@ struct RecurrenceStep {
   T gamma{0};
 };
 
+namespace detail {
+
+/// One row of one recurrence step: alpha·(A x_{p-1})[i] + beta·x_{p-1}[i]
+/// + gamma·x_{p-2}[i].
+///
+/// noinline for the reason row_dot2_btb_bat is: a sum of two products
+/// can contract into an FMA around either product, and the optimizer
+/// chooses per inlining context. -march=x86-64-v3 builds were seen to
+/// choose differently in a plan's serial recurrence and in a direct
+/// kernel call. One out-of-line copy means one choice.
+template <class T>
+[[gnu::noinline]] T recurrence_row(const RecurrenceStep<T>& c, T a_x, T x1,
+                                   T x2) {
+  return c.alpha * a_x + c.beta * x1 + c.gamma * x2;
+}
+
+}  // namespace detail
+
 /// Outcome of a checked kernel execution. Long unattended SSpMV
 /// sequences report numerical breakdown (NaN/Inf iterates) through
 /// this instead of silently propagating non-finite values into the
@@ -70,14 +88,16 @@ KernelStatus check_finite(std::span<const T> v, const char* detail) {
 /// Serial recurrence sweep (BtB layout) in an explicit row order:
 /// fwd_rows(f) / bwd_rows(f) call f(i) on every row in a valid order
 /// for the forward sweep over L / the backward sweep over U (a level
-/// plan's stage-major walk). steps.size() = k >= 1; emit(p, i, v) fires
-/// once per step p in [1, k] and row i with v = x_p[i].
-template <class T, class Emit, class FwdRows, class BwdRows>
+/// plan's stage-major walk). fwd_rows walks upward; `bwd` states the
+/// address direction bwd_rows walks in. steps.size() = k >= 1;
+/// emit(p, i, v) fires once per step p in [1, k] and row i with
+/// v = x_p[i].
+template <class T, class Emit, class FwdRows, class BwdRows, Walk BW>
 void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
                             std::span<const RecurrenceStep<T>> steps,
                             std::span<const T> x0, FbWorkspace<T>& ws,
                             Emit&& emit, FwdRows&& fwd_rows,
-                            BwdRows&& bwd_rows) {
+                            BwdRows&& bwd_rows, WalkTag<BW> /*bwd*/) {
   const index_t n = s.lower.rows();
   FBMPK_CHECK(s.upper.rows() == n &&
               s.diag.size() == static_cast<std::size_t>(n));
@@ -104,7 +124,8 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
   }
   for (index_t i = 0; i < n; ++i) {
     T sum{};
-    detail::row_dot1_btb(uci, uva, urp[i], urp[i + 1], xy, 0, sum, tr);
+    detail::row_dot1_btb<Walk::kUp>(uci, uva, urp[i], urp[i + 1], xy, 0, sum,
+                                    tr);
     tmp[i] = sum;
   }
 
@@ -119,9 +140,9 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
     fwd_rows([&](index_t i) {
       T raw = tmp[i] + d[i] * xy[2 * i];  // (A x_even)[i] accumulator
       T sum1{};
-      detail::row_dot2_btb(lci, lva, lrp[i], lrp[i + 1], xy, raw, sum1, tr);
-      const T v = co.alpha * raw + co.beta * xy[2 * i] +
-                  co.gamma * xy[2 * i + 1];
+      detail::row_dot2_btb<Walk::kUp>(lci, lva, lrp[i], lrp[i + 1], xy, raw,
+                                      sum1, tr);
+      const T v = detail::recurrence_row(co, raw, xy[2 * i], xy[2 * i + 1]);
       xy[2 * i + 1] = v;
       emit(p_odd, i, v);
       tmp[i] = sum1 + d[i] * v;
@@ -134,17 +155,16 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
       T v;
       if (prime_next) {
         T sum1{};
-        detail::row_dot2_btb(uci, uva, urp[i], urp[i + 1], xy, sum1, raw,
-                             tr);
-        v = ce.alpha * raw + ce.beta * xy[2 * i + 1] +
-            ce.gamma * xy[2 * i];
+        detail::row_dot2_btb<BW>(uci, uva, urp[i], urp[i + 1], xy, sum1, raw,
+                                 tr);
+        v = detail::recurrence_row(ce, raw, xy[2 * i + 1], xy[2 * i]);
         xy[2 * i] = v;
         emit(p_even, i, v);
         tmp[i] = sum1;
       } else {
-        detail::row_dot1_btb(uci, uva, urp[i], urp[i + 1], xy, 1, raw, tr);
-        v = ce.alpha * raw + ce.beta * xy[2 * i + 1] +
-            ce.gamma * xy[2 * i];
+        detail::row_dot1_btb<BW>(uci, uva, urp[i], urp[i + 1], xy, 1, raw,
+                                 tr);
+        v = detail::recurrence_row(ce, raw, xy[2 * i + 1], xy[2 * i]);
         xy[2 * i] = v;
         emit(p_even, i, v);
       }
@@ -156,9 +176,10 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
     // Tail: even slots hold x_{k-1}, odd slots x_{k-2}, tmp = U·x_{k-1}.
     for (index_t i = 0; i < n; ++i) {
       T raw = tmp[i] + d[i] * xy[2 * i];
-      detail::row_dot1_btb(lci, lva, lrp[i], lrp[i + 1], xy, 0, raw, tr);
+      detail::row_dot1_btb<Walk::kUp>(lci, lva, lrp[i], lrp[i + 1], xy, 0,
+                                      raw, tr);
       emit(k, i,
-           ck.alpha * raw + ck.beta * xy[2 * i] + ck.gamma * xy[2 * i + 1]);
+           detail::recurrence_row(ck, raw, xy[2 * i], xy[2 * i + 1]));
     }
   }
 }
@@ -178,7 +199,8 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
       },
       [n](auto&& f) {
         for (index_t i = n; i-- > 0;) f(i);
-      });
+      },
+      kWalkDown);
 }
 
 /// Parallel recurrence sweep under an ABMC color schedule (same
@@ -230,7 +252,8 @@ void fbmpk_recurrence_parallel_sweep(const TriangularSplit<T>& s,
 #endif
     for (index_t i = 0; i < n; ++i) {
       T sum{};
-      detail::row_dot1_btb(uci, uva, urp[i], urp[i + 1], xy, 0, sum, tr);
+      detail::row_dot1_btb<Walk::kUp>(uci, uva, urp[i], urp[i + 1], xy, 0,
+                                      sum, tr);
       tmp[i] = sum;
     }
 
@@ -248,10 +271,10 @@ void fbmpk_recurrence_parallel_sweep(const TriangularSplit<T>& s,
           for (index_t i = o.block_ptr[b]; i < o.block_ptr[b + 1]; ++i) {
             T raw = tmp[i] + d[i] * xy[2 * i];
             T sum1{};
-            detail::row_dot2_btb(lci, lva, lrp[i], lrp[i + 1], xy, raw,
-                                 sum1, tr);
-            const T v = co.alpha * raw + co.beta * xy[2 * i] +
-                        co.gamma * xy[2 * i + 1];
+            detail::row_dot2_btb<Walk::kUp>(lci, lva, lrp[i], lrp[i + 1],
+                                            xy, raw, sum1, tr);
+            const T v =
+                detail::recurrence_row(co, raw, xy[2 * i], xy[2 * i + 1]);
             xy[2 * i + 1] = v;
             emit(p_odd, i, v);
             tmp[i] = sum1 + d[i] * v;
@@ -270,18 +293,17 @@ void fbmpk_recurrence_parallel_sweep(const TriangularSplit<T>& s,
             T v;
             if (prime_next) {
               T sum1{};
-              detail::row_dot2_btb(uci, uva, urp[i], urp[i + 1], xy, sum1,
-                                   raw, tr);
-              v = ce.alpha * raw + ce.beta * xy[2 * i + 1] +
-                  ce.gamma * xy[2 * i];
+              detail::row_dot2_btb<Walk::kDown>(uci, uva, urp[i],
+                                                urp[i + 1], xy, sum1, raw,
+                                                tr);
+              v = detail::recurrence_row(ce, raw, xy[2 * i + 1], xy[2 * i]);
               xy[2 * i] = v;
               emit(p_even, i, v);
               tmp[i] = sum1;
             } else {
-              detail::row_dot1_btb(uci, uva, urp[i], urp[i + 1], xy, 1, raw,
-                                   tr);
-              v = ce.alpha * raw + ce.beta * xy[2 * i + 1] +
-                  ce.gamma * xy[2 * i];
+              detail::row_dot1_btb<Walk::kDown>(uci, uva, urp[i],
+                                                urp[i + 1], xy, 1, raw, tr);
+              v = detail::recurrence_row(ce, raw, xy[2 * i + 1], xy[2 * i]);
               xy[2 * i] = v;
               emit(p_even, i, v);
             }
@@ -297,9 +319,9 @@ void fbmpk_recurrence_parallel_sweep(const TriangularSplit<T>& s,
 #endif
       for (index_t i = 0; i < n; ++i) {
         T raw = tmp[i] + d[i] * xy[2 * i];
-        detail::row_dot1_btb(lci, lva, lrp[i], lrp[i + 1], xy, 0, raw, tr);
-        emit(k, i, ck.alpha * raw + ck.beta * xy[2 * i] +
-                       ck.gamma * xy[2 * i + 1]);
+        detail::row_dot1_btb<Walk::kUp>(lci, lva, lrp[i], lrp[i + 1], xy, 0,
+                                        raw, tr);
+        emit(k, i, detail::recurrence_row(ck, raw, xy[2 * i], xy[2 * i + 1]));
       }
     }
   }
