@@ -139,6 +139,41 @@ TEST(FbSimd, ScalarCompressedIsBitwiseExact) {
   }
 }
 
+// prefetch_dist sets only the dispatched kernels' distance; the sweep's
+// walk reaches them separately. At 0, a compressed exact plan's
+// full-width rows (bands wider than a u16 offset) still run the exact
+// helpers, which prefetch their own distance along the walk, and both
+// backward forms (k even: the pair dot; k odd: the final single dot)
+// stay bitwise equal to the plain exact plan.
+TEST(FbSimd, ScalarCompressedIgnoresPrefetchDistance) {
+  const auto a = test::random_matrix(70000, 4.0, /*symmetric=*/true, 29);
+  const auto x = test::random_vector(a.rows(), 5);
+
+  for (const bool parallel : {false, true}) {
+    PlanOptions exact;
+    exact.parallel = parallel;
+    auto pe = MpkPlan::build(a, exact);
+    for (const int dist : {0, 16}) {
+      PlanOptions packed = exact;
+      packed.index_compress = true;
+      packed.prefetch_dist = dist;
+      auto pp = MpkPlan::build(a, packed);
+      ASSERT_EQ(pp.resolved_backend(), KernelBackend::kScalar);
+      ASSERT_GT(pp.packed_index().upper.num_wide_bands(), 0);
+
+      AlignedVector<double> ye(x.size()), yp(x.size());
+      for (const int k : {2, 3}) {
+        pe.power(x, k, ye);
+        pp.power(x, k, yp);
+        for (std::size_t i = 0; i < ye.size(); ++i)
+          ASSERT_EQ(ye[i], yp[i]) << "parallel=" << parallel
+                                  << " dist=" << dist << " k=" << k
+                                  << " i=" << i;
+      }
+    }
+  }
+}
+
 // Fast-mode error bound from docs/KERNELS.md:
 //   ||fast - exact||_inf <= 4 k m eps ||A||_inf^k ||x||_inf.
 TEST(FbSimd, FastModeErrorBoundHolds) {
